@@ -15,8 +15,8 @@ import time
 from fractions import Fraction
 
 from . import __version__, certifier, cremona, lattice, planner, toric, weights
-from .rationals import (RationalParseError, decimal_lower, default_precision,
-                        format_rational, parse_rational)
+from .rationals import (RationalParseError, check_precision, decimal_lower,
+                        default_precision, format_rational, parse_rational)
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -395,13 +395,18 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.precision is None:
-        args.precision = default_precision()
     try:
+        args.precision = (default_precision() if args.precision is None
+                          else check_precision(args.precision, "--precision"))
         return args.func(args)
     except (RationalParseError, toric.DomainError, ValueError, OSError,
             KeyError, json.JSONDecodeError) as exc:
         print(f"sympack: error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except OverflowError as exc:
+        print(f"sympack: error: {exc}: the lattice search works in int64, so "
+              "lcm(denominators) * search-kmax must stay below 2^63",
+              file=sys.stderr)
         return EXIT_INVALID
 
 

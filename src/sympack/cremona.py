@@ -7,16 +7,44 @@ delta = mu - l1 - l2 - l3, replace (mu; l1, l2, l3, ...) by
 The vector is accepted when the defect becomes non-negative with all
 entries non-negative and the volume obstruction holds; open balls make the
 volume comparison non-strict (equality is a very full filling).
+
+Integer kernel.  mu and the lambda_i are scaled once to integers over their
+common denominator d, and the moves (sort, defect, move) run on Python ints:
+a move adds the integer defect to four entries, so the vector stays on the
+grid.  A rejection names the first check that fails, in this order: a
+negative entry, mu exhausted (mu <= 0 while a ball is left), and the volume
+check at the terminal step.
+
+Termination.  On the grid a negative-defect move lowers mu by at least 1,
+and once mu <= 0 at most one more move ends the reduction.  So with
+M = max(mu * d, 0) there are at most M + 1 moves; the kernel raises
+``MoveBoundError`` rather than exceed that.
+
+Volume.  sum lambda_i^2 against mu^2 is invariant under the moves, and a
+failed volume check always ends in a rejection.  The yes/no callers
+(``decide_ball_packing`` and ``max_equal_ball``) therefore reject at once,
+with no moves, when it fails.  ``reduce_vector`` still runs the moves, so
+that its trace and reason are those of the full reduction.
+
+Traces.  ``reduce_vector`` keeps the integer states; ``ReductionTrace.steps``
+builds the ``ReductionStep`` and ``PackingVector`` objects the first time it
+is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 REASON_NEGATIVE = "negative entry"
 REASON_MU_EXHAUSTED = "mu exhausted"
 REASON_VOLUME = "volume"
+
+
+class MoveBoundError(RuntimeError):
+    """A reduction made more moves than its termination bound allows."""
 
 
 @dataclass(frozen=True)
@@ -26,8 +54,8 @@ class PackingVector:
 
     def __post_init__(self):
         object.__setattr__(self, "mu", Fraction(self.mu))
-        object.__setattr__(self, "lambdas",
-                           tuple(Fraction(l) for l in self.lambdas))
+        object.__setattr__(self, "lambdas", tuple(
+            l if type(l) is Fraction else Fraction(l) for l in self.lambdas))
 
     def sorted_padded(self) -> "PackingVector":
         lams = sorted(self.lambdas, reverse=True)
@@ -57,10 +85,24 @@ class ReductionStep:
 
 @dataclass
 class ReductionTrace:
-    steps: list[ReductionStep] = field(default_factory=list)
     verdict: str = "rejected"            # "accepted" | "rejected"
     reason: str | None = None
     volume_ok: bool = False
+    # the sorted, zero-padded state (mu*d, l_1*d, ...) before each move
+    _states: list[tuple[int, ...]] = field(default_factory=list, repr=False)
+    _den: int = 1
+
+    @cached_property
+    def steps(self) -> list[ReductionStep]:
+        d = self._den
+        steps = []
+        for mu, *lams in self._states:
+            before = _vector(mu, lams, d)
+            delta = mu - lams[0] - lams[1] - lams[2]
+            after = before if delta >= 0 else _vector(
+                mu + delta, [l + delta for l in lams[:3]] + lams[3:], d)
+            steps.append(ReductionStep(before, Fraction(delta, d), after))
+        return steps
 
     @property
     def accepted(self) -> bool:
@@ -69,6 +111,59 @@ class ReductionTrace:
     @property
     def terminal(self) -> PackingVector:
         return self.steps[-1].after if self.steps else None
+
+
+def _vector(mu: int, lams, d: int) -> PackingVector:
+    return PackingVector(Fraction(mu, d), tuple(Fraction(l, d) for l in lams))
+
+
+def _to_grid(mu: Fraction, lams) -> tuple[int, int, list[int]]:
+    """(d, mu*d, [l*d]) over the common denominator d of the entries."""
+    d = lcm(mu.denominator, *{l.denominator for l in lams})
+    return (d, mu.numerator * (d // mu.denominator),
+            [l.numerator * (d // l.denominator) for l in lams])
+
+
+def _volume_ok(mu: int, lams: list[int], strict: bool) -> bool:
+    total = sum(l * l for l in lams)
+    return total < mu * mu if strict else total <= mu * mu
+
+
+def _run_moves(mu: int, lams: list[int]) -> tuple[str | None, list[tuple]]:
+    """Cremona moves on the integer grid, up to the first failed check.
+
+    Returns the reason of the failed check (``REASON_NEGATIVE`` or
+    ``REASON_MU_EXHAUSTED``), or None when the defect became non-negative,
+    together with the sorted, zero-padded state before each move; the last
+    state of a None result is the terminal one.  The volume is the
+    caller's.
+    """
+    lams = sorted(lams, reverse=True)
+    states: list[tuple] = []
+    if lams and lams[-1] < 0:
+        return REASON_NEGATIVE, states
+    lams += [0] * (3 - len(lams))
+    limit = max(mu, 0) + 1
+    while True:
+        a, b, c = lams[0], lams[1], lams[2]
+        delta = mu - a - b - c
+        states.append((mu, *lams))
+        if delta >= 0:
+            return None, states
+        if len(states) > limit:
+            raise MoveBoundError(f"more than {limit} Cremona moves from an "
+                                 f"integer mu of {states[0][0]}")
+        # the state is sorted and non-negative, so c + delta is the least
+        # entry after the move and the largest is a + delta or lams[3]
+        mu += delta
+        c += delta
+        if c < 0:
+            return REASON_NEGATIVE, states
+        a += delta
+        if mu <= 0 and (a > 0 or len(lams) > 3 and lams[3] > 0):
+            return REASON_MU_EXHAUSTED, states
+        lams[0], lams[1], lams[2] = a, b + delta, c
+        lams.sort(reverse=True)
 
 
 def cremona_step(v: PackingVector) -> PackingVector:
@@ -85,42 +180,23 @@ def cremona_step(v: PackingVector) -> PackingVector:
 def reduce_vector(v: PackingVector, strict_volume: bool = False) -> ReductionTrace:
     """Iterate Cremona moves to a verdict; total and always terminating.
 
-    Termination: over the fixed common denominator of the input, mu drops
-    by at least one grid step per negative-defect move.
+    The moves run even when the volume check fails, so the trace and the
+    reason are those of the full reduction.
     """
-    trace = ReductionTrace()
-    # volume is invariant under the moves, checked once up front
-    vol_ok = (sum((l * l for l in v.lambdas), Fraction(0)) < v.mu ** 2
-              if strict_volume else v.volume_ok)
-    trace.volume_ok = vol_ok
-    current = v.sorted_padded()
-    if any(l < 0 for l in current.lambdas):
-        trace.reason = REASON_NEGATIVE
-        return trace
-    while True:
-        delta = current.defect
-        if delta >= 0:
-            trace.steps.append(ReductionStep(current, delta, current))
-            if not vol_ok:
-                trace.reason = REASON_VOLUME
-            else:
-                trace.verdict = "accepted"
-            return trace
-        after = cremona_step(current)
-        trace.steps.append(ReductionStep(current, delta, after))
-        if any(l < 0 for l in after.lambdas):
-            trace.reason = REASON_NEGATIVE
-            return trace
-        if after.mu <= 0 and any(l > 0 for l in after.lambdas):
-            trace.reason = REASON_MU_EXHAUSTED
-            return trace
-        current = after.sorted_padded()
+    d, mu, lams = _to_grid(v.mu, v.lambdas)
+    vol_ok = _volume_ok(mu, lams, strict_volume)
+    reason, states = _run_moves(mu, lams)
+    if reason is None and not vol_ok:
+        reason = REASON_VOLUME
+    return ReductionTrace("accepted" if reason is None else "rejected",
+                          reason, vol_ok, states, d)
 
 
 def decide_ball_packing(mu, lambdas, strict_volume: bool = False) -> bool:
     """True iff open balls of the given capacities pack P^2(mu).
 
     Scale-invariant: decide(c*mu, c*lambdas) = decide(mu, lambdas).
+    A failed volume check rejects at once, with no moves.
     """
     mu = Fraction(mu)
     if mu <= 0:
@@ -128,8 +204,10 @@ def decide_ball_packing(mu, lambdas, strict_volume: bool = False) -> bool:
     lams = tuple(Fraction(l) for l in lambdas)
     if any(l < 0 for l in lams):
         raise ValueError("ball capacities must be >= 0")
-    v = PackingVector(mu, tuple(l for l in lams if l > 0))
-    return reduce_vector(v, strict_volume=strict_volume).accepted
+    _, mu, lams = _to_grid(mu, [l for l in lams if l > 0])
+    if not _volume_ok(mu, lams, strict_volume):
+        return False
+    return _run_moves(mu, lams)[0] is None
 
 
 def max_equal_ball(n: int, tol) -> Fraction:

@@ -14,12 +14,21 @@ from fractions import Fraction
 from math import isqrt
 
 DEFAULT_PRECISION_BITS = 128
+MIN_PRECISION_BITS = 4
 
 PRECISION_ENV_VAR = "SYMPACK_PRECISION"
 
 
 class RationalParseError(ValueError):
     """Raised when input is not an exact rational 'p/q' or integer string."""
+
+
+def check_precision(bits: int, source: str) -> int:
+    """``bits`` if it is a usable precision, else a parse error naming ``source``."""
+    if bits < MIN_PRECISION_BITS:
+        raise RationalParseError(
+            f"{source} too small: {bits} (need >= {MIN_PRECISION_BITS})")
+    return bits
 
 
 def default_precision() -> int:
@@ -32,9 +41,7 @@ def default_precision() -> int:
     except ValueError:
         raise RationalParseError(
             f"{PRECISION_ENV_VAR} must be an integer, got {raw!r}")
-    if bits < 4:
-        raise RationalParseError(f"{PRECISION_ENV_VAR} too small: {bits}")
-    return bits
+    return check_precision(bits, PRECISION_ENV_VAR)
 
 
 def parse_rational(text: str) -> Fraction:

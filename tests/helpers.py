@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 from sympack import planner, toric
+from sympack.cremona import REASON_MU_EXHAUSTED, REASON_NEGATIVE, REASON_VOLUME
 
 
 def rand_fraction(rng: random.Random, lo: Fraction, hi: Fraction,
@@ -19,6 +20,39 @@ def rand_fraction(rng: random.Random, lo: Fraction, hi: Fraction,
     if hi_num < lo_num:
         return (lo + hi) / 2
     return Fraction(rng.randint(lo_num, hi_num), den)
+
+
+def reference_reduce(mu, lambdas, strict_volume: bool = False):
+    """The Cremona reduction written plainly on Fractions, as a test oracle.
+
+    Returns (verdict, reason, volume_ok, steps) with each step a tuple
+    (before_mu, before_lambdas, defect, after_mu, after_lambdas); ``before``
+    is sorted and zero-padded to three entries, ``after`` is the moved
+    vector before re-sorting.
+    """
+    mu, lams = Fraction(mu), [Fraction(l) for l in lambdas]
+    total, top = sum(l * l for l in lams), mu * mu
+    vol_ok = total < top if strict_volume else total <= top
+    lams = sorted(lams, reverse=True)
+    steps = []
+    if any(l < 0 for l in lams):
+        return "rejected", REASON_NEGATIVE, vol_ok, steps
+    lams += [Fraction(0)] * (3 - len(lams))
+    while True:
+        delta = mu - sum(lams[:3])
+        if delta >= 0:
+            steps.append((mu, tuple(lams), delta, mu, tuple(lams)))
+            if vol_ok:
+                return "accepted", None, vol_ok, steps
+            return "rejected", REASON_VOLUME, vol_ok, steps
+        after = [l + delta for l in lams[:3]] + lams[3:]
+        steps.append((mu, tuple(lams), delta, mu + delta, tuple(after)))
+        mu += delta
+        if any(l < 0 for l in after):
+            return "rejected", REASON_NEGATIVE, vol_ok, steps
+        if mu <= 0 and any(l > 0 for l in after):
+            return "rejected", REASON_MU_EXHAUSTED, vol_ok, steps
+        lams = sorted(after, reverse=True)
 
 
 def rand_pseudo_ball(rng: random.Random) -> toric.PseudoBall:

@@ -206,3 +206,26 @@ def test_atlas(capsys):
 def test_atlas_empty_grid(capsys):
     assert run(["atlas", "--amin", "3", "--amax", "2"]) == 2
     assert run(["atlas", "--amin", "1", "--amax", "2"]) == 2
+
+
+def _invalid(capsys, argv):
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("sympack: error:") and "Traceback" not in err
+    return err
+
+
+def test_invalid_precision_exit_two(capsys, monkeypatch):
+    assert "--precision" in _invalid(capsys, ["weights", "5/2", "--precision", "0"])
+    _invalid(capsys, ["dstar", "--lambdas", "1/2", "--precision", "-3"])
+    monkeypatch.setenv("SYMPACK_PRECISION", "abc")
+    assert "SYMPACK_PRECISION" in _invalid(capsys, ["weights", "5/2"])
+
+
+def test_dstar_overflow_exit_two(capsys):
+    # lcm of six denominators near 1100 times k overflows the int64 search
+    err = _invalid(capsys, ["dstar", "--lambdas",
+                            "1/1103,1/1109,1/1117,1/1123,1/1129,1/1151",
+                            "--search-kmax", "8"])
+    assert "int64" in err

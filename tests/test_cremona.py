@@ -1,11 +1,17 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sympack.cremona import (REASON_NEGATIVE, REASON_VOLUME, PackingVector,
-                             cremona_step, decide_ball_packing, max_equal_ball,
-                             reduce_vector)
+from sympack.cremona import (REASON_NEGATIVE, REASON_VOLUME, MoveBoundError,
+                             PackingVector, _run_moves, cremona_step,
+                             decide_ball_packing, max_equal_ball, reduce_vector)
+
+from helpers import reference_reduce
 
 F = Fraction
 
@@ -130,3 +136,63 @@ def test_max_equal_ball_validates():
         max_equal_ball(0, F(1, 10))
     with pytest.raises(ValueError):
         max_equal_ball(3, 0)
+
+
+rationals = st.builds(F, st.integers(0, 60), st.integers(1, 24))
+vectors = st.tuples(st.builds(F, st.integers(-3, 60), st.integers(1, 24)),
+                    st.lists(st.one_of(rationals, rationals.map(lambda x: -x)),
+                             max_size=12))
+
+
+def _trace_tuple(trace):
+    return (trace.verdict, trace.reason, trace.volume_ok,
+            [(s.before.mu, s.before.lambdas, s.defect, s.after.mu,
+              s.after.lambdas) for s in trace.steps])
+
+
+@settings(max_examples=400, deadline=None)
+@given(vectors, st.booleans())
+def test_kernel_matches_fraction_reference(vector, strict):
+    mu, lams = vector
+    trace = reduce_vector(PackingVector(mu, tuple(lams)), strict_volume=strict)
+    verdict, reason, vol_ok, steps = reference_reduce(mu, lams, strict)
+    assert _trace_tuple(trace) == (verdict, reason, vol_ok, steps)
+    # the termination bound: at most max(mu*d, 0) + 1 moves
+    d = math.lcm(*(x.denominator for x in [mu, *lams]))
+    moves = sum(1 for step in steps if step[2] < 0)
+    assert moves <= max(mu * d, 0) + 1
+    if mu > 0 and all(l >= 0 for l in lams):
+        assert decide_ball_packing(mu, lams, strict) == trace.accepted
+
+
+def test_decide_agrees_with_trace_on_volume_failures():
+    rng = random.Random(31)
+    failures = 0
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        lams = [F(rng.randint(1, 30), rng.randint(20, 60)) for _ in range(n)]
+        for strict in (False, True):
+            trace = reduce_vector(vec(1, *lams), strict_volume=strict)
+            if trace.volume_ok:
+                continue
+            failures += 1
+            assert not trace.accepted
+            assert decide_ball_packing(1, lams, strict) == trace.accepted
+    assert failures > 50
+
+
+def test_max_equal_ball_nine_is_fast():
+    started = time.perf_counter()
+    tol = F(1, 10 ** 9)
+    assert abs(max_equal_ball(9, tol) - F(1, 3)) <= tol
+    assert time.perf_counter() - started < 0.5
+
+
+def test_move_bound_raises():
+    # the bound of mu + 1 moves holds only on the integer grid: fed the
+    # unscaled Fractions, mu = 1 allows two moves and this vector needs eight
+    with pytest.raises(MoveBoundError):
+        _run_moves(F(1), [F(34, 100)] * 9)
+    # the same vector on the grid runs to its rejection within the bound
+    trace = reduce_vector(vec(1, *([F(34, 100)] * 9)))
+    assert trace.reason == reference_reduce(1, [F(34, 100)] * 9)[1]
