@@ -26,16 +26,14 @@ failed volume check always ends in a rejection.  The yes/no callers
 with no moves, when it fails.  ``reduce_vector`` still runs the moves, so
 that its trace and reason are those of the full reduction.
 
-Traces.  ``reduce_vector`` keeps the integer states; ``ReductionTrace.steps``
-builds the ``ReductionStep`` and ``PackingVector`` objects the first time it
-is read.
+Traces.  ``reduce_vector`` turns the integer states back into
+``ReductionStep`` and ``PackingVector`` objects once the reduction ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 REASON_NEGATIVE = "negative entry"
@@ -54,8 +52,8 @@ class PackingVector:
 
     def __post_init__(self):
         object.__setattr__(self, "mu", Fraction(self.mu))
-        object.__setattr__(self, "lambdas", tuple(
-            l if type(l) is Fraction else Fraction(l) for l in self.lambdas))
+        object.__setattr__(self, "lambdas",
+                           tuple(Fraction(l) for l in self.lambdas))
 
     def sorted_padded(self) -> "PackingVector":
         lams = sorted(self.lambdas, reverse=True)
@@ -85,24 +83,10 @@ class ReductionStep:
 
 @dataclass
 class ReductionTrace:
+    steps: list[ReductionStep] = field(default_factory=list)
     verdict: str = "rejected"            # "accepted" | "rejected"
     reason: str | None = None
     volume_ok: bool = False
-    # the sorted, zero-padded state (mu*d, l_1*d, ...) before each move
-    _states: list[tuple[int, ...]] = field(default_factory=list, repr=False)
-    _den: int = 1
-
-    @cached_property
-    def steps(self) -> list[ReductionStep]:
-        d = self._den
-        steps = []
-        for mu, *lams in self._states:
-            before = _vector(mu, lams, d)
-            delta = mu - lams[0] - lams[1] - lams[2]
-            after = before if delta >= 0 else _vector(
-                mu + delta, [l + delta for l in lams[:3]] + lams[3:], d)
-            steps.append(ReductionStep(before, Fraction(delta, d), after))
-        return steps
 
     @property
     def accepted(self) -> bool:
@@ -188,8 +172,15 @@ def reduce_vector(v: PackingVector, strict_volume: bool = False) -> ReductionTra
     reason, states = _run_moves(mu, lams)
     if reason is None and not vol_ok:
         reason = REASON_VOLUME
-    return ReductionTrace("accepted" if reason is None else "rejected",
-                          reason, vol_ok, states, d)
+    steps = []
+    for m, *ls in states:
+        before = _vector(m, ls, d)
+        delta = m - ls[0] - ls[1] - ls[2]
+        after = before if delta >= 0 else _vector(
+            m + delta, [l + delta for l in ls[:3]] + ls[3:], d)
+        steps.append(ReductionStep(before, Fraction(delta, d), after))
+    return ReductionTrace(steps, "accepted" if reason is None else "rejected",
+                          reason, vol_ok)
 
 
 def decide_ball_packing(mu, lambdas, strict_volume: bool = False) -> bool:
