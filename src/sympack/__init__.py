@@ -2,15 +2,15 @@
 
 from .cremona import (PackingVector, ReductionTrace, cremona_step,
                       decide_ball_packing, max_equal_ball, reduce_vector)
-from .certifier import (BlowupTarget, Certificate, certify_packing,
+from .certifier import (Certificate, certify_packing,
                         decide_balls_into_ellipsoid, check_directed_hypotheses,
                         lambda_bound)
-from .lattice import (BlowupForm, HomologyClass, class_invariants,
-                      d_omega_bound, d_omega_search, volume_form_bound)
+from .lattice import (BlowupForm, HomologyClass, blowup_bound,
+                      class_invariants, d_omega_bound, d_omega_search)
 from .planner import (Curve, DiscAllocation, Polarization, basin_of_cross,
                       basin_of_disc, build_plan, liouville_flow,
                       partition_balls, perturb_allocation, plan_discs,
-                      stability_constant, validate_polarization)
+                      validate_polarization)
 from .rationals import parse_rational, format_rational, rational_below
 from .toric import (Ball, Ellipsoid, MomentPolytope, ProjectivePlane,
                     PseudoBall, moment_polytope, parse_domain, polytope_area,

@@ -15,8 +15,7 @@ from fractions import Fraction
 
 from . import toric
 from .cremona import PackingVector, ReductionTrace, reduce_vector
-from .lattice import BlowupForm, d_omega_bound
-from .rationals import sqrt_upper
+from .lattice import BlowupForm, blowup_bound, d_omega_bound
 from .weights import ellipsoid_weights, weight_count
 
 CONSERVATIVE = "conservative"
@@ -25,44 +24,20 @@ OPTIMISTIC = "optimistic"
 _MODES = (CONSERVATIVE, OPTIMISTIC)
 
 
-@dataclass(frozen=True)
-class BlowupTarget:
-    """p-fold blow-up of P^2(1) by balls of the given sizes."""
+BlowupTarget = BlowupForm    # a p-fold blow-up of P^2(1) is its form
 
-    lambdas: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        form = BlowupForm(tuple(Fraction(l) for l in self.lambdas))
-        object.__setattr__(self, "lambdas", form.lambdas)
-
-    @property
-    def form(self) -> BlowupForm:
-        return BlowupForm(self.lambdas)
-
-    def __str__(self):
-        return "Blowup({})".format(",".join(str(l) for l in self.lambdas))
-
-
-Target = BlowupTarget | toric.Ellipsoid | toric.PseudoBall | toric.Ball
+Target = BlowupForm | toric.Ellipsoid | toric.PseudoBall | toric.Ball
 
 
 def target_volume(t: Target) -> Fraction:
-    if isinstance(t, BlowupTarget):
-        return t.form.volume
+    if isinstance(t, BlowupForm):
+        return t.volume
     return toric.volume(t)
 
 
 def _check_mode(mode: str):
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-
-
-def _complement_bound(scale: Fraction, kappa_sq: Fraction, p: int,
-                      precision) -> Fraction:
-    """scale * (1 - kappa) / (3 + sqrt(p)), rounded down."""
-    kappa_up = sqrt_upper(kappa_sq, precision)
-    sqrt_p_up = sqrt_upper(Fraction(p), precision) if p else Fraction(0)
-    return scale * (1 - kappa_up) / (3 + sqrt_p_up)
 
 
 def ellipsoid_bound_parts(c: Fraction) -> tuple[Fraction, int]:
@@ -81,8 +56,8 @@ def lambda_bound(t: Target, mode: str = CONSERVATIVE,
     with the target.
     """
     _check_mode(mode)
-    if isinstance(t, BlowupTarget):
-        bound = d_omega_bound(t.form, precision)
+    if isinstance(t, BlowupForm):
+        bound = d_omega_bound(t, precision)
     elif isinstance(t, toric.Ball):
         bound = t.capacity / 3
     elif isinstance(t, toric.Ellipsoid):
@@ -90,17 +65,15 @@ def lambda_bound(t: Target, mode: str = CONSERVATIVE,
         if small == big:
             bound = small / 3
         else:
-            c = big / small
-            kappa_sq, p = ellipsoid_bound_parts(c)
-            bound = small * c * _complement_bound(Fraction(1), kappa_sq, p,
-                                                 precision)
+            kappa_sq, p = ellipsoid_bound_parts(big / small)
+            bound = big * blowup_bound(kappa_sq, p, precision)
     elif isinstance(t, toric.PseudoBall):
         mu = t.alpha + t.beta
         e1 = (mu - t.a, t.alpha)
         e2 = (mu - t.b, t.beta)
         kappa_sq = (e1[0] * e1[1] + e2[0] * e2[1]) / mu ** 2
         p = (weight_count(max(e1) / min(e1)) + weight_count(max(e2) / min(e2)))
-        bound = _complement_bound(mu, kappa_sq, p, precision)
+        bound = mu * blowup_bound(kappa_sq, p, precision)
     else:
         raise TypeError(f"unsupported target {t!r}")
     if mode == CONSERVATIVE:
@@ -178,18 +151,23 @@ def decide_balls_into_ellipsoid(a, balls) -> ReductionTrace:
 
 # --- hypotheses of the curve-directed isotopy lemma -----------------------
 
-@dataclass(frozen=True)
-class FirstAxisAssignment:
-    a: Fraction
-    b: Fraction
-    component: int
+class InvalidAssignmentError(ValueError):
+    pass
 
 
 @dataclass(frozen=True)
-class SecondAxisAssignment:
+class AxisAssignment:
+    """One axis of E(a, b), the first (length a) or the second (length b)."""
+
     a: Fraction
     b: Fraction
     component: int
+    axis: str
+
+    def __post_init__(self):
+        if self.axis not in ("first", "second"):
+            raise InvalidAssignmentError(
+                f"axis must be 'first' or 'second', got {self.axis!r}")
 
 
 @dataclass(frozen=True)
@@ -210,12 +188,7 @@ class FreeEllipsoid:
     b: Fraction
 
 
-Assignment = (FirstAxisAssignment | SecondAxisAssignment
-              | CrossAssignment | FreeEllipsoid)
-
-
-class InvalidAssignmentError(ValueError):
-    pass
+Assignment = AxisAssignment | CrossAssignment | FreeEllipsoid
 
 
 def check_directed_hypotheses(component_areas, assignments):
@@ -234,10 +207,9 @@ def check_directed_hypotheses(component_areas, assignments):
         loads[idx] += amount
 
     for asg in assignments:
-        if isinstance(asg, FirstAxisAssignment):
-            _add(asg.component, Fraction(asg.a))
-        elif isinstance(asg, SecondAxisAssignment):
-            _add(asg.component, Fraction(asg.b))
+        if isinstance(asg, AxisAssignment):
+            _add(asg.component,
+                 Fraction(asg.a if asg.axis == "first" else asg.b))
         elif isinstance(asg, CrossAssignment):
             if (asg.first_component == asg.second_component
                     and asg.first_branch == asg.second_branch):

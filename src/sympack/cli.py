@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import __version__, certifier, cremona, lattice, planner, toric, weights
 from .rationals import (RationalParseError, check_precision, decimal_lower,
@@ -70,90 +71,72 @@ def _trace_json(trace: cremona.ReductionTrace) -> dict:
     }
 
 
-def _emit(args, payload: dict, command: str, inputs: dict, started: float):
-    if args.json:
-        report = {
-            "command": command,
-            "inputs": inputs,
-            "outputs": payload,
-            "elapsed_s": round(time.monotonic() - started, 6),
-            "version": __version__,
-            "precision_bits": args.precision,
-        }
-        print(json.dumps(report, indent=2))
-    else:
-        print(json.dumps(payload, indent=2))
-
-
-def cmd_weights(args) -> int:
-    started = time.monotonic()
+def cmd_weights(args):
     a = parse_rational(args.a)
     ws = weights.weight_sequence(a)
-    payload = {
+    return {
         "a": _fmt(a),
         "weights": [_fmt(w) for w in ws.weights],
         "p": len(ws),
         "sum_sq": _fmt(ws.sum_squares),
-    }
-    _emit(args, payload, "weights", {"a": args.a}, started)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_volume(args) -> int:
-    started = time.monotonic()
+def cmd_volume(args):
     domain = toric.parse_domain(args.domain)
-    payload = {"domain": str(domain), "volume": _fmt(toric.volume(domain))}
-    _emit(args, payload, "volume", {"domain": args.domain}, started)
-    return EXIT_OK
+    return {"domain": str(domain), "volume": _fmt(toric.volume(domain))}, EXIT_OK
 
 
-def cmd_dstar(args) -> int:
-    started = time.monotonic()
+def cmd_dstar(args):
     lams = tuple(parse_ball_list(args.lambdas)) if args.lambdas else ()
     form = lattice.BlowupForm(lams)
     bound = lattice.d_omega_bound(form, args.precision)
     result = lattice.d_omega_search(form, args.search_kmax)
-    payload = {
+    return {
         "lambdas": [_fmt(l) for l in lams],
         "bound": _bound_json(bound, args.precision),
         "search_kmax": args.search_kmax,
         "search_value": _fmt(result.value),
         "witness": {"k": result.witness.k, "m": list(result.witness.m)},
-    }
-    _emit(args, payload, "dstar", {"lambdas": args.lambdas}, started)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_decide(args) -> int:
-    started = time.monotonic()
-    mu = parse_rational(args.mu)
-    balls = parse_ball_list(args.balls)
-    vec = cremona.PackingVector(mu, tuple(b for b in balls if b > 0))
-    trace = cremona.reduce_vector(vec)
-    payload = {"mu": _fmt(mu), "balls": [_fmt(b) for b in balls],
+def _decision(args, key: str, value: Fraction, balls,
+              trace: cremona.ReductionTrace):
+    """Payload and exit code shared by the two Cremona decisions."""
+    payload = {key: _fmt(value), "balls": [_fmt(b) for b in balls],
                "verdict": trace.verdict, "reason": trace.reason}
     if args.trace:
         payload["trace"] = _trace_json(trace)
-    _emit(args, payload, "decide", {"mu": args.mu, "balls": args.balls}, started)
-    return EXIT_OK if trace.accepted else EXIT_REJECT
+    return payload, EXIT_OK if trace.accepted else EXIT_REJECT
 
 
-def cmd_max_equal_ball(args) -> int:
-    started = time.monotonic()
+def cmd_decide(args):
+    mu = parse_rational(args.mu)
+    balls = parse_ball_list(args.balls)
+    vec = cremona.PackingVector(mu, tuple(b for b in balls if b > 0))
+    return _decision(args, "mu", mu, balls, cremona.reduce_vector(vec))
+
+
+def cmd_ellipsoid_decide(args):
+    a = parse_rational(args.a)
+    balls = parse_ball_list(args.balls)
+    return _decision(args, "a", a, balls,
+                     certifier.decide_balls_into_ellipsoid(a, balls))
+
+
+def cmd_max_equal_ball(args):
     tol = parse_rational(args.tol)
     value = cremona.max_equal_ball(args.n, tol)
-    payload = {"n": args.n, "tol": _fmt(tol), "capacity": _fmt(value),
-               "capacity_decimal": decimal_lower(value, DECIMAL_DIGITS)}
-    _emit(args, payload, "max-equal-ball", {"n": args.n, "tol": args.tol},
-          started)
-    return EXIT_OK
+    return {"n": args.n, "tol": _fmt(tol), "capacity": _fmt(value),
+            "capacity_decimal": decimal_lower(value, DECIMAL_DIGITS)}, EXIT_OK
 
 
 def _parse_target(text: str) -> certifier.Target:
     text = text.strip()
     if text.lower().startswith("blowup"):
         inner = text[text.index("(") + 1:text.rindex(")")]
-        return certifier.BlowupTarget(tuple(parse_ball_list(inner)))
+        return lattice.BlowupForm(tuple(parse_ball_list(inner)))
     domain = toric.parse_domain(text)
     if isinstance(domain, toric.ProjectivePlane):
         raise toric.DomainError(
@@ -161,12 +144,11 @@ def _parse_target(text: str) -> certifier.Target:
     return domain
 
 
-def cmd_certify(args) -> int:
-    started = time.monotonic()
+def cmd_certify(args):
     target = _parse_target(args.target)
     balls = parse_ball_list(args.balls)
     cert = certifier.certify_packing(target, balls, args.mode, args.precision)
-    payload = {
+    return {
         "target": str(cert.target),
         "mode": cert.mode,
         "lambda_threshold": _bound_json(cert.lambda_threshold, args.precision),
@@ -175,34 +157,15 @@ def cmd_certify(args) -> int:
         "volume_slack": _fmt(cert.volume_slack),
         "verdict": cert.verdict,
         "reasons": list(cert.reasons),
-    }
-    _emit(args, payload, "certify",
-          {"target": args.target, "balls": args.balls, "mode": args.mode},
-          started)
-    return EXIT_OK if cert.certified else EXIT_REJECT
-
-
-def cmd_ellipsoid_decide(args) -> int:
-    started = time.monotonic()
-    a = parse_rational(args.a)
-    balls = parse_ball_list(args.balls)
-    trace = certifier.decide_balls_into_ellipsoid(a, balls)
-    payload = {"a": _fmt(a), "balls": [_fmt(b) for b in balls],
-               "verdict": trace.verdict, "reason": trace.reason}
-    if args.trace:
-        payload["trace"] = _trace_json(trace)
-    _emit(args, payload, "ellipsoid-decide",
-          {"a": args.a, "balls": args.balls}, started)
-    return EXIT_OK if trace.accepted else EXIT_REJECT
+    }, EXIT_OK if cert.certified else EXIT_REJECT
 
 
 def _load_assignment(entry: dict) -> certifier.Assignment:
     kind = entry.get("kind")
     a, b = (parse_rational(x) for x in entry["ellipsoid"])
-    if kind == "first_axis":
-        return certifier.FirstAxisAssignment(a, b, int(entry["component"]))
-    if kind == "second_axis":
-        return certifier.SecondAxisAssignment(a, b, int(entry["component"]))
+    if kind in ("first_axis", "second_axis"):
+        return certifier.AxisAssignment(a, b, int(entry["component"]),
+                                        kind.removesuffix("_axis"))
     if kind == "cross":
         return certifier.CrossAssignment(
             a, b,
@@ -213,16 +176,14 @@ def _load_assignment(entry: dict) -> certifier.Assignment:
     raise certifier.InvalidAssignmentError(f"unknown assignment kind {kind!r}")
 
 
-def cmd_directed_check(args) -> int:
-    started = time.monotonic()
+def cmd_directed_check(args):
     with open(args.file) as fh:
         data = json.load(fh)
     areas = [parse_rational(x) for x in data["components"]]
     assignments = [_load_assignment(e) for e in data.get("assignments", [])]
     ok, slacks = certifier.check_directed_hypotheses(areas, assignments)
-    payload = {"ok": ok, "slacks": [_fmt(s) for s in slacks]}
-    _emit(args, payload, "directed-check", {"file": args.file}, started)
-    return EXIT_OK if ok else EXIT_REJECT
+    return ({"ok": ok, "slacks": [_fmt(s) for s in slacks]},
+            EXIT_OK if ok else EXIT_REJECT)
 
 
 def load_polarization(data: dict) -> planner.Polarization:
@@ -233,8 +194,7 @@ def load_polarization(data: dict) -> planner.Polarization:
     return planner.Polarization(curves, vol)
 
 
-def cmd_decompose(args) -> int:
-    started = time.monotonic()
+def cmd_decompose(args):
     with open(args.polarization) as fh:
         pol = load_polarization(json.load(fh))
     errors = planner.validate_polarization(pol)
@@ -270,13 +230,11 @@ def cmd_decompose(args) -> int:
                  plan.pieces[j].domain, [caps[i] for i in subset],
                  args.mode, args.precision).verdict if subset else "CERTIFIED"}
             for j, subset in enumerate(part.subsets)]
-    _emit(args, payload, "decompose",
-          {"polarization": args.polarization, "balls": args.balls}, started)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_atlas(args) -> int:
-    started = time.monotonic()
+def cmd_atlas(args):
+    """CSV lines, header first, in place of a JSON payload."""
     amin = parse_rational(args.amin)
     amax = parse_rational(args.amax)
     step = parse_rational(args.step)
@@ -284,7 +242,7 @@ def cmd_atlas(args) -> int:
         raise RationalParseError("amin must be > 1")
     if step <= 0 or amax < amin:
         raise RationalParseError("empty grid")
-    rows = []
+    lines = ["a,conservative,optimistic,p,kappa_sq"]
     a = amin
     while a <= amax:
         cons = certifier.lambda_bound(toric.Ellipsoid(1, a),
@@ -292,19 +250,108 @@ def cmd_atlas(args) -> int:
         opt = certifier.lambda_bound(toric.Ellipsoid(1, a),
                                      certifier.OPTIMISTIC, args.precision)
         kappa_sq, p = certifier.ellipsoid_bound_parts(a)
-        rows.append((a, cons, opt, p, kappa_sq))
+        lines.append(f"{_fmt(a)},{decimal_lower(cons, DECIMAL_DIGITS)},"
+                     f"{decimal_lower(opt, DECIMAL_DIGITS)},{p},{_fmt(kappa_sq)}")
         a += step
-    print("a,conservative,optimistic,p,kappa_sq")
-    for a, cons, opt, p, kappa_sq in rows:
-        print(f"{_fmt(a)},{decimal_lower(cons, DECIMAL_DIGITS)},"
-              f"{decimal_lower(opt, DECIMAL_DIGITS)},{p},{_fmt(kappa_sq)}")
-    if args.json:
-        sys.stderr.write(json.dumps({
-            "command": "atlas", "rows": len(rows),
-            "elapsed_s": round(time.monotonic() - started, 6),
-            "precision_bits": args.precision, "rounding": "down",
-        }) + "\n")
-    return EXIT_OK
+    return lines, EXIT_OK
+
+
+class Command(NamedTuple):
+    """A subcommand: handler, help line, argparse arguments, report inputs."""
+
+    func: Callable[[argparse.Namespace], tuple[dict | list[str], int]]
+    help: str
+    arguments: tuple[tuple[tuple[str, ...], dict], ...]
+    inputs: tuple[str, ...]            # arguments echoed in the --json report
+
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+COMMANDS = {
+    "weights": Command(
+        cmd_weights, "weight expansion of a rational a >= 1",
+        (_arg("a"),), ("a",)),
+    "volume": Command(
+        cmd_volume, "exact volume of a toric domain",
+        (_arg("domain", help="B(3/2) | E(1,5/2) | T(3/2,3/2,1,1) | P2(2)"),),
+        ("domain",)),
+    "dstar": Command(
+        cmd_dstar, "stability-constant bound and search",
+        (_arg("--lambdas", default="", help="blow-up sizes, e.g. 1/2,1/2"),
+         _arg("--search-kmax", type=int, default=8)),
+        ("lambdas",)),
+    "decide": Command(
+        cmd_decide, "Cremona decision for balls in P2(mu)",
+        (_arg("--mu", required=True), _arg("--balls", required=True)),
+        ("mu", "balls")),
+    "max-equal-ball": Command(
+        cmd_max_equal_ball, "largest capacity of N equal balls in P2(1)",
+        (_arg("--n", type=int, required=True),
+         _arg("--tol", default="1/1000000000")),
+        ("n", "tol")),
+    "certify": Command(
+        cmd_certify, "packing certificate for a target",
+        (_arg("--target", required=True,
+              help='e.g. "E(1,2)", "T(3/2,3/2,1,1)", "Blowup(1/2,1/2)"'),
+         _arg("--balls", required=True, help="e.g. 13/100x100")),
+        ("target", "balls", "mode")),
+    "ellipsoid-decide": Command(
+        cmd_ellipsoid_decide, "exact decision for balls into E(1,a)",
+        (_arg("-a", "--a", dest="a", required=True),
+         _arg("--balls", required=True)),
+        ("a", "balls")),
+    "directed-check": Command(
+        cmd_directed_check, "area hypotheses for curve-directed packings",
+        (_arg("--file", required=True, help="JSON instance description"),),
+        ("file",)),
+    "decompose": Command(
+        cmd_decompose, "toric decomposition plan for a polarization",
+        (_arg("--polarization", required=True, help="pol.json"),
+         _arg("--balls", default=None, help="balls.json"),
+         _arg("--pad", action="store_true",
+              help="pad the partition with filler balls")),
+        ("polarization", "balls")),
+    "atlas": Command(
+        cmd_atlas, "CSV sweep of ellipsoid stability bounds",
+        (_arg("--amin", required=True), _arg("--amax", required=True),
+         _arg("--step", default="1/10")),
+        ()),
+}
+
+
+def _run_command(args) -> int:
+    """Run and time one command, then print its output and report.
+
+    A JSON payload is printed as is, or with --json wrapped in the run
+    report.  The CSV lines of atlas are printed as they are, and its --json
+    report is one line on stderr.
+    """
+    command = COMMANDS[args.command]
+    started = time.monotonic()
+    output, code = command.func(args)
+    elapsed = round(time.monotonic() - started, 6)
+    if isinstance(output, list):
+        print("\n".join(output))
+        if args.json:
+            sys.stderr.write(json.dumps({
+                "command": args.command, "rows": len(output) - 1,
+                "elapsed_s": elapsed, "precision_bits": args.precision,
+                "rounding": "down",
+            }) + "\n")
+    elif args.json:
+        print(json.dumps({
+            "command": args.command,
+            "inputs": {name: getattr(args, name) for name in command.inputs},
+            "outputs": output,
+            "elapsed_s": elapsed,
+            "version": __version__,
+            "precision_bits": args.precision,
+        }, indent=2))
+    else:
+        print(json.dumps(output, indent=2))
+    return code
 
 
 def _add_global_flags(parser, suppress: bool = False):
@@ -333,62 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_flags(common, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("weights", parents=[common], help="weight expansion of a rational a >= 1")
-    p.add_argument("a")
-    p.set_defaults(func=cmd_weights)
-
-    p = sub.add_parser("volume", parents=[common], help="exact volume of a toric domain")
-    p.add_argument("domain", help="B(3/2) | E(1,5/2) | T(3/2,3/2,1,1) | P2(2)")
-    p.set_defaults(func=cmd_volume)
-
-    p = sub.add_parser("dstar", parents=[common], help="stability-constant bound and search")
-    p.add_argument("--lambdas", default="", help="blow-up sizes, e.g. 1/2,1/2")
-    p.add_argument("--search-kmax", type=int, default=8)
-    p.set_defaults(func=cmd_dstar)
-
-    p = sub.add_parser("decide", parents=[common], help="Cremona decision for balls in P2(mu)")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--balls", required=True)
-    p.set_defaults(func=cmd_decide)
-
-    p = sub.add_parser("max-equal-ball", parents=[common],
-                       help="largest capacity of N equal balls in P2(1)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", default="1/1000000000")
-    p.set_defaults(func=cmd_max_equal_ball)
-
-    p = sub.add_parser("certify", parents=[common], help="packing certificate for a target")
-    p.add_argument("--target", required=True,
-                   help='e.g. "E(1,2)", "T(3/2,3/2,1,1)", "Blowup(1/2,1/2)"')
-    p.add_argument("--balls", required=True, help="e.g. 13/100x100")
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("ellipsoid-decide", parents=[common],
-                       help="exact decision for balls into E(1,a)")
-    p.add_argument("-a", "--a", dest="a", required=True)
-    p.add_argument("--balls", required=True)
-    p.set_defaults(func=cmd_ellipsoid_decide)
-
-    p = sub.add_parser("directed-check", parents=[common],
-                       help="area hypotheses for curve-directed packings")
-    p.add_argument("--file", required=True, help="JSON instance description")
-    p.set_defaults(func=cmd_directed_check)
-
-    p = sub.add_parser("decompose", parents=[common],
-                       help="toric decomposition plan for a polarization")
-    p.add_argument("--polarization", required=True, help="pol.json")
-    p.add_argument("--balls", default=None, help="balls.json")
-    p.add_argument("--pad", action="store_true",
-                   help="pad the partition with filler balls")
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("atlas", parents=[common],
-                       help="CSV sweep of ellipsoid stability bounds")
-    p.add_argument("--amin", required=True)
-    p.add_argument("--amax", required=True)
-    p.add_argument("--step", default="1/10")
-    p.set_defaults(func=cmd_atlas)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for flags, options in command.arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
@@ -398,7 +393,7 @@ def run(argv=None) -> int:
     try:
         args.precision = (default_precision() if args.precision is None
                           else check_precision(args.precision, "--precision"))
-        return args.func(args)
+        return _run_command(args)
     except (RationalParseError, toric.DomainError, ValueError, OSError,
             KeyError, json.JSONDecodeError) as exc:
         print(f"sympack: error: {exc}", file=sys.stderr)

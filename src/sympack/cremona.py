@@ -11,9 +11,8 @@ volume comparison non-strict (equality is a very full filling).
 Integer kernel.  mu and the lambda_i are scaled once to integers over their
 common denominator d, and the moves (sort, defect, move) run on Python ints:
 a move adds the integer defect to four entries, so the vector stays on the
-grid.  A rejection names the first check that fails, in this order: a
-negative entry, mu exhausted (mu <= 0 while a ball is left), and the volume
-check at the terminal step.
+grid.  A rejection names the first check that fails: a negative entry,
+else the volume check at the terminal step.
 
 Termination.  On the grid a negative-defect move lowers mu by at least 1,
 and once mu <= 0 at most one more move ends the reduction.  So with
@@ -37,6 +36,8 @@ from fractions import Fraction
 from math import lcm
 
 REASON_NEGATIVE = "negative entry"
+# never reported: a move that leaves no entry negative ends with mu >= every
+# entry >= 0, so mu <= 0 then leaves no ball
 REASON_MU_EXHAUSTED = "mu exhausted"
 REASON_VOLUME = "volume"
 
@@ -116,11 +117,10 @@ def _volume_ok(mu: int, lams: list[int], strict: bool) -> bool:
 def _run_moves(mu: int, lams: list[int]) -> tuple[str | None, list[tuple]]:
     """Cremona moves on the integer grid, up to the first failed check.
 
-    Returns the reason of the failed check (``REASON_NEGATIVE`` or
-    ``REASON_MU_EXHAUSTED``), or None when the defect became non-negative,
-    together with the sorted, zero-padded state before each move; the last
-    state of a None result is the terminal one.  The volume is the
-    caller's.
+    Returns ``REASON_NEGATIVE`` when an entry is or becomes negative, or
+    None when the defect became non-negative, together with the sorted,
+    zero-padded state before each move; the last state of a None result is
+    the terminal one.  The volume is the caller's.
     """
     lams = sorted(lams, reverse=True)
     states: list[tuple] = []
@@ -138,15 +138,12 @@ def _run_moves(mu: int, lams: list[int]) -> tuple[str | None, list[tuple]]:
             raise MoveBoundError(f"more than {limit} Cremona moves from an "
                                  f"integer mu of {states[0][0]}")
         # the state is sorted and non-negative, so c + delta is the least
-        # entry after the move and the largest is a + delta or lams[3]
+        # entry after the move
         mu += delta
         c += delta
         if c < 0:
             return REASON_NEGATIVE, states
-        a += delta
-        if mu <= 0 and (a > 0 or len(lams) > 3 and lams[3] > 0):
-            return REASON_MU_EXHAUSTED, states
-        lams[0], lams[1], lams[2] = a, b + delta, c
+        lams[0], lams[1], lams[2] = a + delta, b + delta, c
         lams.sort(reverse=True)
 
 

@@ -62,6 +62,9 @@ class BlowupForm:
     def volume(self) -> Fraction:
         return (1 - self.kappa_sq) / 2
 
+    def __str__(self):
+        return "Blowup({})".format(",".join(str(l) for l in self.lambdas))
+
 
 def class_invariants(b: HomologyClass, form: BlowupForm):
     """(self-intersection, first Chern number, symplectic area), all exact."""
@@ -74,34 +77,20 @@ def class_invariants(b: HomologyClass, form: BlowupForm):
     return self_int, chern, area
 
 
-def d_omega_bound(form: BlowupForm, precision: int | None = None) -> Fraction:
-    """Certified lower bound (1-kappa)/(3+sqrt(p)), rounded down.
+def blowup_bound(kappa_sq, p: int, precision: int | None = None) -> Fraction:
+    """Certified lower bound (1-kappa)/(3+sqrt(p)) for kappa^2 = kappa_sq.
 
     kappa and sqrt(p) are replaced by rational upper bounds, so the
-    returned Fraction never exceeds the true value.  Empty form gives 1/3
-    exactly.
+    returned Fraction never exceeds the true value.  Square roots of 0 are
+    exact, so kappa^2 = p = 0 (no blow-up) gives 1/3.
     """
-    p = form.p
-    if p == 0:
-        return Fraction(1, 3)
-    kappa_up = sqrt_upper(form.kappa_sq, precision)
-    sqrt_p_up = sqrt_upper(Fraction(p), precision)
-    return (1 - kappa_up) / (3 + sqrt_p_up)
+    return ((1 - sqrt_upper(kappa_sq, precision))
+            / (3 + sqrt_upper(p, precision)))
 
 
-def volume_form_bound(vol, p: int, precision: int | None = None) -> Fraction:
-    """Same bound expressed through the blow-up's volume: vol = (1-kappa^2)/2."""
-    vol = Fraction(vol)
-    if not 0 < vol <= Fraction(1, 2):
-        raise InfeasibleFormError(f"volume {vol} outside (0, 1/2]")
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    kappa_up = sqrt_upper(1 - 2 * vol, precision)
-    if p == 0:
-        sqrt_p_up = Fraction(0)
-    else:
-        sqrt_p_up = sqrt_upper(Fraction(p), precision)
-    return (1 - kappa_up) / (3 + sqrt_p_up)
+def d_omega_bound(form: BlowupForm, precision: int | None = None) -> Fraction:
+    """The blow-up bound of the form; 1/3 exactly for the empty form."""
+    return blowup_bound(form.kappa_sq, form.p, precision)
 
 
 @dataclass(frozen=True)
@@ -214,5 +203,4 @@ def d_omega_search(form: BlowupForm, k_max: int,
         if best_val is None or val < best_val:
             best_val = val
             best_witness = HomologyClass(k, tuple(int(x) for x in pts[i]))
-    assert best_val is not None, "search admitted no class; k range too small"
     return SearchResult(best_val, best_witness)

@@ -261,7 +261,9 @@ def perturb_allocation(pol: Polarization, alloc: DiscAllocation,
         new_main[j] = 2 * targets[2 * j] / alphas[j]
         new_next[j] = pol.curves[j].area - new_prev[j] - new_main[j]
     closing = (new_next[l - 1] * alphas[l - 1] + new_prev[0] * alphas[0]) / 2
-    assert closing == targets[2 * l - 1], "cascade closure failed"
+    if closing != targets[2 * l - 1]:
+        raise ClosureError(f"cascade closes at {closing}, "
+                           f"last cross target is {targets[2 * l - 1]}")
 
     perturbed = DiscAllocation(tuple(new_main), tuple(new_prev), tuple(new_next))
     errors = validate_allocation(pol, perturbed)
@@ -301,7 +303,8 @@ def compute_delta(pol: Polarization, alloc: DiscAllocation) -> Fraction:
         if j >= 1:
             prev_slack = min(alloc.prev[j] - a_j, a_j + a_prev - alloc.prev[j])
             consider(prev_slack, Fraction(4 * j) / a_j)
-    assert best is not None
+    if best is None:
+        raise AllocationError("allocation has no curves: delta is unconstrained")
     return best
 
 
@@ -327,22 +330,6 @@ def build_plan(pol: Polarization, alloc: DiscAllocation | None = None,
     delta = compute_delta(pol, alloc)
     lam_prime = min(lam_pieces, sqrt_lower(2 * delta, precision))
     return DecompositionPlan(tuple(pieces), delta, lam_pieces, lam_prime, mode)
-
-
-def stability_constant(pol: Polarization, alloc: DiscAllocation | None = None,
-                       mode: str = certifier.CONSERVATIVE,
-                       precision: int | None = None):
-    """(Lambda', report) for the plan induced by the allocation."""
-    plan = build_plan(pol, alloc, mode, precision)
-    report = {
-        "mode": mode,
-        "convention": plan.convention,
-        "delta": plan.delta,
-        "lambda_pieces": plan.lambda_pieces,
-        "lambda_prime": plan.lambda_prime,
-        "pieces": [(p.label, str(p.domain), p.volume) for p in plan.pieces],
-    }
-    return plan.lambda_prime, report
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ lower bound, never a float guess.
 from __future__ import annotations
 
 import os
+import re
 from fractions import Fraction
 from math import isqrt
 
@@ -17,6 +18,8 @@ DEFAULT_PRECISION_BITS = 128
 MIN_PRECISION_BITS = 4
 
 PRECISION_ENV_VAR = "SYMPACK_PRECISION"
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class RationalParseError(ValueError):
@@ -47,7 +50,8 @@ def default_precision() -> int:
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' or an integer string into an exact Fraction.
 
-    Decimal points and exponents are rejected: callers holding an
+    Each side of the '/' is ASCII digits with an optional sign; blanks are
+    allowed only around the whole literal.  Decimal points and exponents are rejected: callers holding an
     irrational or floating-point quantity must approximate it by a rational
     explicitly (see :func:`rational_below`) so the approximation direction
     is a conscious choice.
@@ -66,6 +70,11 @@ def parse_rational(text: str) -> Fraction:
             value = Fraction(int(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise RationalParseError(f"malformed rational {text!r}: {exc}") from None
+    # int() also takes '1_000', inner blanks and non-ASCII digits
+    if not all(_INTEGER.fullmatch(part) for part in s.split("/")):
+        raise RationalParseError(
+            f"malformed rational {text!r}: write each side of '/' as "
+            "ASCII digits with an optional sign")
     return value
 
 

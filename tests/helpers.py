@@ -92,7 +92,7 @@ def point_polygon_distance(pt, vertices) -> float:
 
 
 def classify_by_flow(fixed, point, disc_r1, disc_r2, tol: float = 1e-9) -> bool:
-    """Backward-iterate the contracting flow from ``point`` until an axis exit.
+    """Backward-iterate ``planner.liouville_flow`` from ``point`` to an axis exit.
 
     ``disc_r1`` is the extent of the target disc on the R2 = 0 axis (None if
     no disc lies there), ``disc_r2`` likewise on R1 = 0.  Returns True when
@@ -102,26 +102,28 @@ def classify_by_flow(fixed, point, disc_r1, disc_r2, tol: float = 1e-9) -> bool:
     f1, f2 = float(fixed[0]), float(fixed[1])
     r1, r2 = float(point[0]), float(point[1])
     scale = max(1.0, abs(r1), abs(r2), f1, f2)
+
+    def backward(t):
+        q1, _, q2, _ = planner.liouville_flow((f1, f2), (r1, 0.0, r2, 0.0), -t)
+        return q1, q2
+
     t = 0.0
     step = 0.05
     limit = 1e6
     for _ in range(10000):
         nt = t + step
-        n1 = f1 + (r1 - f1) * math.exp(nt)
-        n2 = f2 + (r2 - f2) * math.exp(nt)
+        n1, n2 = backward(nt)
         if n1 < 0 or n2 < 0:
             # bisect the crossing time of whichever axis is hit first
             lo, hi = t, nt
             while hi - lo > 1e-15:
                 mid = (lo + hi) / 2
-                m1 = f1 + (r1 - f1) * math.exp(mid)
-                m2 = f2 + (r2 - f2) * math.exp(mid)
+                m1, m2 = backward(mid)
                 if m1 < 0 or m2 < 0:
                     hi = mid
                 else:
                     lo = mid
-            e1 = f1 + (r1 - f1) * math.exp(lo)
-            e2 = f2 + (r2 - f2) * math.exp(lo)
+            e1, e2 = backward(lo)
             if e1 <= tol * scale:
                 return disc_r2 is not None and e2 < disc_r2
             if e2 <= tol * scale:

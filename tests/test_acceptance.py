@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from sympack import certifier, planner, toric
-from sympack.certifier import (CONSERVATIVE, BlowupTarget, certify_packing,
+from sympack.certifier import (CONSERVATIVE, certify_packing,
                                decide_balls_into_ellipsoid, lambda_bound)
 from sympack.cremona import decide_ball_packing, max_equal_ball
 from sympack.lattice import BlowupForm, d_omega_bound, d_omega_search
@@ -83,7 +83,7 @@ def test_criterion_4_certifier_soundness():
         # have to pack the plane, Sum(lambda^2) < 1 alone is not enough
         if not decide_ball_packing(1, lams):
             continue
-        target = BlowupTarget(lams)
+        target = BlowupForm(lams)
         thr = lambda_bound(target, CONSERVATIVE, 64)
         k = rng.randint(1, 12)
         cap = rational_below(thr * F(rng.randint(1, 9), 10), 10 ** 6)

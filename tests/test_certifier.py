@@ -5,15 +5,17 @@ from fractions import Fraction
 import pytest
 
 from sympack import toric
-from sympack.certifier import (CONSERVATIVE, OPTIMISTIC, BlowupTarget,
-                               CrossAssignment, FirstAxisAssignment,
-                               FreeEllipsoid, InvalidAssignmentError,
-                               SecondAxisAssignment, certify_packing,
+from sympack.certifier import (CONSERVATIVE, OPTIMISTIC, AxisAssignment,
+                               CrossAssignment, FreeEllipsoid,
+                               InvalidAssignmentError, certify_packing,
                                check_directed_hypotheses,
                                decide_balls_into_ellipsoid,
                                ellipsoid_bound_parts, lambda_bound,
                                target_volume)
-from sympack.lattice import volume_form_bound
+from sympack.lattice import BlowupForm, d_omega_bound
+from sympack.weights import ellipsoid_weights
+
+from helpers import rand_fraction, rand_pseudo_ball
 
 F = Fraction
 
@@ -46,14 +48,25 @@ def test_ellipsoid_bound_parts():
     assert kappa_sq == F(6, 7) and p == 7
 
 
-def test_blowup_bound_matches_volume_route():
+def test_bound_is_the_complement_blowup_bound():
+    # the threshold of E(a,b) or T(a,b,alpha,beta) is the blow-up bound of
+    # its complement's weights in P^2(scale), scaled back
     rng = random.Random(13)
-    for _ in range(30):
-        p = rng.randint(1, 4)
-        lams = tuple(F(rng.randint(1, 15), 40) for _ in range(p))
-        t = BlowupTarget(lams)
-        assert (lambda_bound(t, OPTIMISTIC)
-                == volume_form_bound(t.form.volume, p))
+    for _ in range(40):
+        small = rand_fraction(rng, F(1, 10), F(3))
+        big = small * rand_fraction(rng, F(1), F(9))
+        c = big / small
+        t = toric.Ellipsoid(*rng.sample((small, big), 2))
+        form = BlowupForm(tuple(w / c for w in ellipsoid_weights(c - 1, c)))
+        assert lambda_bound(t, OPTIMISTIC) == big * d_omega_bound(form)
+
+        t = rand_pseudo_ball(rng)
+        scale, e, e_prime = toric.pseudo_ball_complement(t.a, t.b, t.alpha,
+                                                         t.beta)
+        weights = ellipsoid_weights(e.a, e.b) + ellipsoid_weights(e_prime.a,
+                                                                  e_prime.b)
+        form = BlowupForm(tuple(w / scale for w in weights))
+        assert lambda_bound(t, OPTIMISTIC) == scale * d_omega_bound(form)
 
 
 def test_scaling_covariance():
@@ -160,19 +173,19 @@ def test_decide_requires_a_above_one():
 
 def test_target_volume():
     assert target_volume(toric.Ellipsoid(1, 2)) == 1
-    assert target_volume(BlowupTarget((F(1, 2),))) == F(3, 8)
+    assert target_volume(BlowupForm((F(1, 2),))) == F(3, 8)
 
 
 def test_directed_simple():
     ok, slacks = check_directed_hypotheses(
-        [1], [FirstAxisAssignment(F(1, 2), F(3, 4), 0)])
+        [1], [AxisAssignment(F(1, 2), F(3, 4), 0, "first")])
     assert ok and slacks == [F(1, 2)]
 
 
 def test_directed_strictness():
     ok, slacks = check_directed_hypotheses(
-        [1], [FirstAxisAssignment(F(1, 2), 1, 0),
-              FirstAxisAssignment(F(1, 2), 1, 0)])
+        [1], [AxisAssignment(F(1, 2), 1, 0, "first"),
+              AxisAssignment(F(1, 2), 1, 0, "first")])
     assert not ok and slacks == [0]
 
 
@@ -184,7 +197,7 @@ def test_directed_cross():
 
 def test_directed_second_axis_and_free():
     ok, slacks = check_directed_hypotheses(
-        [2], [SecondAxisAssignment(5, F(1, 2), 0), FreeEllipsoid(9, 9)])
+        [2], [AxisAssignment(5, F(1, 2), 0, "second"), FreeEllipsoid(9, 9)])
     assert ok and slacks == [F(3, 2)]
 
 
@@ -194,4 +207,6 @@ def test_directed_invalid_cross():
             [1], [CrossAssignment(F(1, 2), F(1, 2), 0, "first", 0, "first")])
     with pytest.raises(InvalidAssignmentError):
         check_directed_hypotheses(
-            [1], [FirstAxisAssignment(F(1, 2), 1, 3)])
+            [1], [AxisAssignment(F(1, 2), 1, 3, "first")])
+    with pytest.raises(InvalidAssignmentError):
+        AxisAssignment(F(1, 2), 1, 0, "diagonal")

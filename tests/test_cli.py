@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sympack.cli import parse_ball_list, run
+from sympack.cli import COMMANDS, parse_ball_list, run
 from sympack.rationals import RationalParseError
 
 F = Fraction
@@ -104,6 +104,7 @@ def test_certify_blowup_target(capsys):
                                  "--balls", "1/10", "--mode", "optimistic"])
     assert code == 0
     data = json.loads(out)
+    assert data["target"] == "Blowup(1/2)"
     assert data["lambda_threshold"]["rational"] == "1/8"
 
 
@@ -132,6 +133,53 @@ def test_global_flags_both_positions(capsys):
     assert rep_a["command"] == "weights"
     assert rep_a["precision_bits"] == 128
     assert "version" in rep_a and "elapsed_s" in rep_a
+
+
+def _every_command(tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"components": ["1"], "assignments": [
+        {"kind": "second_axis", "component": 0, "ellipsoid": ["2", "1/2"]}]}))
+    pol = tmp_path / "pol.json"
+    pol.write_text(json.dumps({"curves": [{"area": "1", "residue": "1/10"}] * 3}))
+    balls = tmp_path / "balls.json"
+    balls.write_text(json.dumps(["1/500"] * 5))
+    return [
+        ["weights", "5/2"],
+        ["volume", "E(1,5/2)"],
+        ["dstar", "--lambdas", "1/2", "--search-kmax", "3"],
+        ["decide", "--mu", "1", "--balls", "2/5x5", "--trace"],
+        ["max-equal-ball", "--n", "4", "--tol", "1/1000"],
+        ["certify", "--target", "Blowup(1/2,1/3)", "--balls", "1/10x3"],
+        ["ellipsoid-decide", "-a", "2", "--balls", "1,1,1/100"],
+        ["directed-check", "--file", str(inst)],
+        ["decompose", "--polarization", str(pol), "--balls", str(balls),
+         "--pad"],
+        ["atlas", "--amin", "2", "--amax", "5/2", "--step", "1/4"],
+    ]
+
+
+def test_json_report_wraps_plain_output(capsys, tmp_path):
+    commands = _every_command(tmp_path)
+    assert [argv[0] for argv in commands] == list(COMMANDS)
+    for argv in commands:
+        code = run(argv)
+        plain = capsys.readouterr()
+        assert run(argv + ["--json"]) == code
+        wrapped = capsys.readouterr()
+        if argv[0] == "atlas":
+            # CSV on stdout either way, a one-line report on stderr
+            assert wrapped.out == plain.out and plain.err == ""
+            report = json.loads(wrapped.err)
+            assert set(report) == {"command", "rows", "elapsed_s",
+                                   "precision_bits", "rounding"}
+            assert report["rows"] == len(plain.out.splitlines()) - 1
+        else:
+            report = json.loads(wrapped.out)
+            assert set(report) == {"command", "inputs", "outputs", "version",
+                                   "precision_bits", "elapsed_s"}
+            assert report["outputs"] == json.loads(plain.out)
+        assert report["command"] == argv[0]
+        assert report["precision_bits"] == 128
 
 
 def test_precision_flag_and_env(capsys, monkeypatch):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympack.cremona import (REASON_NEGATIVE, REASON_VOLUME, MoveBoundError,
-                             PackingVector, _run_moves, cremona_step,
-                             decide_ball_packing, max_equal_ball, reduce_vector)
+from sympack.cremona import (REASON_MU_EXHAUSTED, REASON_NEGATIVE,
+                             REASON_VOLUME, MoveBoundError, PackingVector,
+                             _run_moves, cremona_step, decide_ball_packing,
+                             max_equal_ball, reduce_vector)
 
 from helpers import reference_reduce
 
@@ -157,6 +158,8 @@ def test_kernel_matches_fraction_reference(vector, strict):
     trace = reduce_vector(PackingVector(mu, tuple(lams)), strict_volume=strict)
     verdict, reason, vol_ok, steps = reference_reduce(mu, lams, strict)
     assert _trace_tuple(trace) == (verdict, reason, vol_ok, steps)
+    # the reference checks "mu exhausted" too; it never fires
+    assert trace.reason != REASON_MU_EXHAUSTED
     # the termination bound: at most max(mu*d, 0) + 1 moves
     d = math.lcm(*(x.denominator for x in [mu, *lams]))
     moves = sum(1 for step in steps if step[2] < 0)

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from sympack.lattice import (BlowupForm, HomologyClass, InfeasibleFormError,
-                             class_invariants, d_omega_bound, d_omega_search,
-                             volume_form_bound)
+                             blowup_bound, class_invariants, d_omega_bound,
+                             d_omega_search)
 
 F = Fraction
 
@@ -46,6 +46,7 @@ def test_class_invariants_length_mismatch():
 
 def test_bound_examples():
     assert d_omega_bound(BlowupForm(())) == F(1, 3)
+    assert blowup_bound(0, 0) == F(1, 3)
     assert d_omega_bound(BlowupForm((F(1, 2),))) == F(1, 8)
     with pytest.raises(InfeasibleFormError):
         BlowupForm((F(3, 5), F(4, 5)))
@@ -64,25 +65,6 @@ def test_bound_is_certified_lower():
         truth = (1 - math.sqrt(float(form.kappa_sq))) / (3 + math.sqrt(p))
         assert float(b) <= truth + 1e-15
         assert truth - float(b) < 1e-12
-
-
-def test_volume_form_bound():
-    assert volume_form_bound(F(1, 2), 0) == F(1, 3)
-    assert volume_form_bound(F(3, 8), 1) == F(1, 8)
-    assert volume_form_bound(F(1, 10 ** 6), 3) < F(1, 100)
-    with pytest.raises(InfeasibleFormError):
-        volume_form_bound(F(3, 5), 1)
-    with pytest.raises(InfeasibleFormError):
-        volume_form_bound(0, 1)
-
-
-def test_volume_form_bound_consistency():
-    rng = random.Random(23)
-    for _ in range(30):
-        p = rng.randint(1, 4)
-        lams = tuple(F(rng.randint(1, 15), 40) for _ in range(p))
-        form = BlowupForm(lams)
-        assert d_omega_bound(form) == volume_form_bound(form.volume, form.p)
 
 
 def test_search_examples():

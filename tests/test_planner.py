@@ -10,8 +10,7 @@ from sympack.planner import (AllocationError, ClosureError, Curve,
                              build_pieces, build_plan, compute_delta,
                              liouville_flow, partition_balls,
                              perturb_allocation, plan_discs,
-                             stability_constant, validate_allocation,
-                             validate_polarization)
+                             validate_allocation, validate_polarization)
 
 from helpers import rand_polarization
 
@@ -179,6 +178,11 @@ def test_compute_delta_symmetric():
     assert compute_delta(pol, alloc) == F(1, 2000)
 
 
+def test_compute_delta_needs_curves():
+    with pytest.raises(AllocationError):
+        compute_delta(Polarization(()), DiscAllocation((), (), ()))
+
+
 def test_delta_absorbs_retargets():
     rng = random.Random(99)
     pol = symmetric3()
@@ -195,15 +199,15 @@ def test_delta_absorbs_retargets():
         assert [p.volume for p in build_pieces(pol, out)] == targets
 
 
-def test_stability_constant_symmetric():
+def test_build_plan_symmetric():
     pol = symmetric3()
-    lam_opt, report = stability_constant(pol, mode=certifier.OPTIMISTIC)
-    assert abs(float(lam_opt) - 0.0092) < 2e-4
-    lam_con, _ = stability_constant(pol, mode=certifier.CONSERVATIVE)
-    assert abs(float(lam_con) - 0.0046) < 1e-4
-    assert report["delta"] == F(1, 2000)
-    assert len(report["pieces"]) == 6
-    assert "T(a_j, a_i" in report["convention"]
+    plan = build_plan(pol, mode=certifier.OPTIMISTIC)
+    assert abs(float(plan.lambda_prime) - 0.0092) < 2e-4
+    plan_con = build_plan(pol, mode=certifier.CONSERVATIVE)
+    assert abs(float(plan_con.lambda_prime) - 0.0046) < 1e-4
+    assert plan.delta == F(1, 2000)
+    assert len(plan.pieces) == 6
+    assert "T(a_j, a_i" in plan.convention
 
 
 def test_lambda_prime_min_semantics():
@@ -221,9 +225,7 @@ def test_lambda_prime_min_semantics():
 def test_lambda_prime_monotone_in_areas():
     small = symmetric3()
     big = Polarization(tuple(Curve(2, F(1, 10)) for _ in range(3)))
-    lam_small, _ = stability_constant(small)
-    lam_big, _ = stability_constant(big)
-    assert lam_big >= lam_small
+    assert build_plan(big).lambda_prime >= build_plan(small).lambda_prime
 
 
 def test_partition_uniform():
@@ -273,6 +275,15 @@ def test_partition_pad_exact():
     assert res.subset_volumes == [F(1, 10), F(1, 10)]
     assert sum(f.volume for f in res.fillers) == F(1, 5) - 3 * F(1, 50)
     assert all(f.volume <= F(1, 10) for f in res.fillers)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a deficit of exactly delta is padded by one filler of volume delta, "
+    "not below it; the fix changes decompose's fillers on the cli-mix "
+    "corpus, so it waits for the benchmark digests to be recorded again"))
+def test_partition_pad_fillers_below_delta():
+    res = partition_balls([], [F(1, 10)], F(1, 10), pad=True)
+    assert all(f.volume < F(1, 10) for f in res.fillers)
 
 
 def test_partition_oversized_ball():

@@ -1,0 +1,30 @@
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from sympack.rationals import (RationalParseError, format_rational,
+                               parse_rational)
+
+F = Fraction
+
+
+@given(st.fractions())
+def test_parse_inverts_format(x):
+    assert parse_rational(format_rational(x)) == x
+
+
+def test_parse_accepts_signs_and_outer_blanks():
+    assert parse_rational(" -3/4 ") == F(-3, 4)
+    assert parse_rational("+1/-2") == F(-1, 2)
+    assert parse_rational("7\n") == 7
+
+
+@pytest.mark.parametrize("text", [
+    "", "0.5", "1e3", "1_000", "1/ 2", "1 /2", "1 000", "+-1", "1/2/3",
+    "1/0", "abc", "١٢", "１２", "1/٢",
+])
+def test_parse_rejects(text):
+    with pytest.raises(RationalParseError):
+        parse_rational(text)
