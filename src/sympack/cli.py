@@ -16,8 +16,9 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import __version__, certifier, cremona, lattice, planner, toric, weights
-from .rationals import (RationalParseError, check_precision, decimal_lower,
-                        default_precision, format_rational, parse_rational)
+from .rationals import (INTEGER_LITERAL, RationalParseError,
+                        check_precision, decimal_lower, default_precision,
+                        format_rational, parse_rational)
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -48,6 +49,11 @@ def parse_ball_list(text: str) -> list[Fraction]:
             continue
         if "x" in part:
             cap_text, count_text = part.rsplit("x", 1)
+            count_text = count_text.strip()
+            if not INTEGER_LITERAL.fullmatch(count_text):
+                raise RationalParseError(
+                    f"malformed repetition in {part!r}: write xN with N in "
+                    "ASCII digits")
             count = int(count_text)
             if count < 0:
                 raise RationalParseError(f"negative repetition in {part!r}")
@@ -160,17 +166,48 @@ def cmd_certify(args):
     }, EXIT_OK if cert.certified else EXIT_REJECT
 
 
+class JSONShapeError(ValueError):
+    """A JSON input value whose type is not the one its field needs."""
+
+
+_JSON_TYPES = {dict: "object", list: "array", str: "string"}
+
+
+def _json(value, kind: type, what: str):
+    """``value`` if it is a JSON value of type ``kind``, else a JSONShapeError."""
+    if not isinstance(value, kind):
+        raise JSONShapeError(
+            f"{what} must be a JSON {_JSON_TYPES[kind]}, got {json.dumps(value)}")
+    return value
+
+
+def _json_rational(value, what: str) -> Fraction:
+    return parse_rational(_json(value, str, what))
+
+
+def _json_index(value, what: str) -> int:
+    """An integer, or a string of one, as ``int`` reads it."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise JSONShapeError(f"{what} must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def _load_assignment(entry: dict) -> certifier.Assignment:
+    entry = _json(entry, dict, "an assignment")
     kind = entry.get("kind")
-    a, b = (parse_rational(x) for x in entry["ellipsoid"])
+    a, b = (_json_rational(x, "an ellipsoid size")
+            for x in _json(entry["ellipsoid"], list, '"ellipsoid"'))
     if kind in ("first_axis", "second_axis"):
-        return certifier.AxisAssignment(a, b, int(entry["component"]),
-                                        kind.removesuffix("_axis"))
+        return certifier.AxisAssignment(
+            a, b, _json_index(entry["component"], '"component"'),
+            kind.removesuffix("_axis"))
     if kind == "cross":
         return certifier.CrossAssignment(
             a, b,
-            int(entry["first_component"]), str(entry["first_branch"]),
-            int(entry["second_component"]), str(entry["second_branch"]))
+            _json_index(entry["first_component"], '"first_component"'),
+            str(entry["first_branch"]),
+            _json_index(entry["second_component"], '"second_component"'),
+            str(entry["second_branch"]))
     if kind == "free":
         return certifier.FreeEllipsoid(a, b)
     raise certifier.InvalidAssignmentError(f"unknown assignment kind {kind!r}")
@@ -179,19 +216,27 @@ def _load_assignment(entry: dict) -> certifier.Assignment:
 def cmd_directed_check(args):
     with open(args.file) as fh:
         data = json.load(fh)
-    areas = [parse_rational(x) for x in data["components"]]
-    assignments = [_load_assignment(e) for e in data.get("assignments", [])]
+    data = _json(data, dict, "the instance")
+    areas = [_json_rational(x, "a component area")
+             for x in _json(data["components"], list, '"components"')]
+    assignments = [_load_assignment(e)
+                   for e in _json(data.get("assignments", []), list,
+                                  '"assignments"')]
     ok, slacks = certifier.check_directed_hypotheses(areas, assignments)
     return ({"ok": ok, "slacks": [_fmt(s) for s in slacks]},
             EXIT_OK if ok else EXIT_REJECT)
 
 
 def load_polarization(data: dict) -> planner.Polarization:
-    curves = tuple(planner.Curve(parse_rational(c["area"]),
-                                 parse_rational(c["residue"]))
-                   for c in data["curves"])
-    vol = parse_rational(data["volume"]) if "volume" in data else None
-    return planner.Polarization(curves, vol)
+    data = _json(data, dict, "the polarization")
+    curves = []
+    for curve in _json(data["curves"], list, '"curves"'):
+        curve = _json(curve, dict, "a curve")
+        curves.append(planner.Curve(_json_rational(curve["area"], '"area"'),
+                                    _json_rational(curve["residue"], '"residue"')))
+    vol = (_json_rational(data["volume"], '"volume"') if "volume" in data
+           else None)
+    return planner.Polarization(tuple(curves), vol)
 
 
 def cmd_decompose(args):
@@ -214,8 +259,9 @@ def cmd_decompose(args):
     if args.balls:
         with open(args.balls) as fh:
             data = json.load(fh)
-        caps = [parse_rational(x)
-                for x in (data["balls"] if isinstance(data, dict) else data)]
+        caps = [_json_rational(x, "a ball capacity")
+                for x in _json(data["balls"] if isinstance(data, dict) else data,
+                               list, "the balls")]
         part = planner.partition_balls(caps, [p.volume for p in plan.pieces],
                                        plan.delta, pad=args.pad)
         payload["partition"] = {
@@ -395,13 +441,8 @@ def run(argv=None) -> int:
                           else check_precision(args.precision, "--precision"))
         return _run_command(args)
     except (RationalParseError, toric.DomainError, ValueError, OSError,
-            KeyError, json.JSONDecodeError) as exc:
+            KeyError, json.JSONDecodeError, OverflowError) as exc:
         print(f"sympack: error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OverflowError as exc:
-        print(f"sympack: error: {exc}: the lattice search works in int64, so "
-              "lcm(denominators) * search-kmax must stay below 2^63",
-              file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -6,15 +6,63 @@ exhaustive lattice minimization of area/Chern ratios over homology classes
 k L - sum m_i E_i with bounded k.  The search value is an exact rational
 upper approximation of the infimum; the bound is rounded downward, so
 [bound, search] always brackets the true constant.
+
+The search works on Python ints with no float step.  With d the common
+denominator of the lambda_i and n_i = lambda_i * d, a class (k; m) has
+D = m.n, area (k d - D)/d, Chern number c = 3k - S with S = sum m_i, and
+ratio (k d - D)/(d c).  Four facts cut the classes it has to look at:
+
+1. Sorted classes only.  Sort lambda in descending order; only
+   non-increasing m need be enumerated (the reduced form of Karshon and
+   Kessler, arXiv:1407.5312).  Permuting m changes neither its norm
+   sum m_i^2 nor c, and by the rearrangement inequality m.lambda is largest,
+   so the area smallest, when m is ordered like lambda.  The area stays
+   positive: m.lambda <= |m| kappa <= k kappa < k.  The witness is mapped
+   back to the caller's order of lambda.
+2. One value of k per class.  For fixed m the ratio (k d - D)/(d(3k - S))
+   has a k-derivative of the sign of 3D - dS, so it is monotone in k, and
+   ratio - 1/3 = (dS - 3D)/(3 d c).  A class with 3D <= dS thus never
+   goes below 1/3, the ratio of k L, which is admissible at k_min; the
+   search starts from k L and skips such classes.  Every other class has
+   its smallest ratio at its lowest admissible k, max(k_min,
+   ceil sqrt(norm), ceil((S+2)/3)), as long as that is <= k_max.  Ratios
+   are compared by integer cross-multiplication.
+3. Dominance pruning.  Let m, m' be non-increasing with the same sum and
+   partial sums P_j >= P'_j.  By Abel summation D = sum_j P_j (n_j - n_j+1)
+   with n_p+1 = 0, and every n_j - n_j+1 >= 0 for descending positive n,
+   so D >= D' for every such lambda.  Then m is admissible wherever m' is
+   when ceil sqrt(norm) is no larger, has the same c and no larger ratio,
+   and covers the check of fact 4 when floor sqrt(norm) is no larger: m' is
+   dropped.  Abel summation also gives m.m' - m'.m' = sum_j (P_j - P'_j)
+   (m'_j - m'_j+1) >= 0, so |m|^2 >= |m'|^2 and both roots are in fact
+   equal.  Rows therefore fall into groups of equal (ceil sqrt(norm),
+   floor sqrt(norm), S), pruning runs within each group, and a group needs
+   only its largest D.  The table is built once per (p, k_max): for p = 6,
+   k_max = 8 it keeps 1,729 of 6,133 sorted rows in 254 groups.
+4. Integer area-excess check.  For a class with k^2 > norm, area >
+   k(1 - kappa) says D < k d kappa, that is D <= 0 or D^2 < k^2 sum n_i^2.
+   The smallest such k, k_c = floor sqrt(norm) + 1, gives the strongest
+   instance, and the sorted order gives the largest D (fact 1), so testing
+   each group's largest D at its k_c covers every class with positive
+   square in range.  Rows with no admissible k stay in the table for it.
+
+The values D of all rows come from one packed product: coordinate i of
+every row is packed into one integer with a 64-bit lane per row, so that
+sum_i n_i * column_i holds each D, offset by 2^63, in its own lane.  The
+lanes never carry, because |D| <= |m| |n| < k_max d, and the search
+requires k_max d < 2^63 (``SEARCH_LIMIT``).
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from math import isqrt, lcm
-
-import numpy as np
+from typing import NamedTuple
 
 from .rationals import sqrt_upper
 
@@ -99,55 +147,67 @@ class SearchResult:
     witness: HomologyClass
 
 
-_BALL_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+SEARCH_LIMIT = 1 << 63          # lcm(denominators) * k_max must stay below
 
 
-def _lattice_ball(p: int, radius_sq: int):
-    """Integer vectors of Z^p with squared norm <= radius_sq, sorted by norm.
+class _Table(NamedTuple):
+    """Sorted rows m of Z^p with |m|^2 <= k_max^2, in groups, with lanes.
 
-    Returns (points, norms, coordinate sums); cached per (p, radius_sq).
+    A group holds the rows kept for one (ceil sqrt|m|^2, floor sqrt|m|^2,
+    sum m); ``groups`` lists (start, stop, sum, lowest k, k_c^2) with
+    rows[start:stop] its rows.  ``columns[i]`` packs m_i + k_max of every
+    row into 64-bit lanes, and ``ones`` packs a 1 into every lane.
     """
-    key = (p, radius_sq)
-    cached = _BALL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    pts = np.zeros((1, 0), dtype=np.int64)
-    norms = np.zeros(1, dtype=np.int64)
-    r = isqrt(radius_sq)
-    vals = np.arange(-r, r + 1, dtype=np.int64)
-    for _ in range(p):
-        n_pts, n_vals = len(pts), len(vals)
-        ext = np.repeat(pts, n_vals, axis=0)
-        col = np.tile(vals, n_pts)
-        new_norms = np.repeat(norms, n_vals) + col * col
-        keep = new_norms <= radius_sq
-        pts = np.concatenate([ext[keep], col[keep, None]], axis=1)
-        norms = new_norms[keep]
-    order = np.argsort(norms, kind="stable")
-    pts, norms = pts[order], norms[order]
-    sums = pts.sum(axis=1)
-    result = (pts, norms, sums)
-    _BALL_CACHE[key] = result
-    return result
+
+    groups: tuple[tuple[int, int, int, int, int], ...]
+    rows: tuple[tuple[int, ...], ...]
+    columns: tuple[int, ...]
+    ones: int
 
 
-def _check_area_excess(form, k, d, dots, norms, kappa_sq):
-    """Verify area > k(1-kappa) for every class with B^2 > 0, area > 0.
+def _pack(lanes) -> int:
+    """One integer holding each value as a 64-bit lane, first lane lowest."""
+    return int.from_bytes(array("Q", lanes).tobytes(), sys.byteorder)
 
-    Strictness needs B^2 > 0: at B^2 = 0 with m parallel to lambda the
-    Cauchy-Schwarz step is an equality.  Exact: dot < k*d*kappa is
-    equivalent to dot <= 0 or dot^2 < k^2 d^2 kappa^2.
-    """
-    positive = dots[(dots > 0) & (dots < k * d) & (norms < k * k)]
-    if positive.size == 0:
-        return
-    # float prescreen, exact confirmation on anything near the boundary
-    rhs = float(k * k * d * d) * float(kappa_sq)
-    suspect = positive[positive.astype(float) ** 2 >= rhs * (1 - 1e-9)]
-    for dot in suspect:
-        if Fraction(int(dot)) ** 2 >= Fraction(k * k * d * d) * kappa_sq:
-            raise AssertionError(
-                f"area excess inequality fails at k={k}, dot={int(dot)}")
+
+def _sorted_rows(p: int, k_max: int):
+    """Non-increasing m in Z^p with |m|^2 <= k_max^2, largest first."""
+    def extend(prefix, top, budget):
+        if len(prefix) == p:
+            yield prefix
+            return
+        left = p - len(prefix)
+        for v in range(min(top, isqrt(budget)), -isqrt(budget) - 1, -1):
+            if v < 0 and v * v * left > budget:
+                return          # the rest, all <= v, cannot fit either
+            yield from extend(prefix + (v,), v, budget - v * v)
+
+    return extend((), k_max, k_max * k_max)
+
+
+@lru_cache(maxsize=32)
+def _table(p: int, k_max: int) -> _Table:
+    """The search table of (p, k_max): fact 3 applied to every sorted row."""
+    groups: dict[tuple[int, int, int], list] = {}
+    for m in _sorted_rows(p, k_max):
+        norm = sum(v * v for v in m)
+        root = isqrt(norm)
+        ceil = root if root * root == norm else root + 1
+        groups.setdefault((ceil, root, sum(m)), []).append(
+            (tuple(accumulate(m)), m))
+    spans, rows = [], []
+    for (ceil, root, s), members in sorted(groups.items()):
+        members.sort(reverse=True)      # a dominating row sorts first
+        kept: list = []
+        for partial, m in members:
+            if not any(all(a >= b for a, b in zip(top, partial))
+                       for top, _ in kept):
+                kept.append((partial, m))
+        spans.append((len(rows), len(rows) + len(kept), s,
+                      max(ceil, -(-(s + 2) // 3)), (root + 1) ** 2))
+        rows.extend(m for _, m in kept)
+    columns = tuple(_pack([m[i] + k_max for m in rows]) for i in range(p))
+    return _Table(tuple(spans), tuple(rows), columns, _pack([1] * len(rows)))
 
 
 def d_omega_search(form: BlowupForm, k_max: int,
@@ -155,52 +215,52 @@ def d_omega_search(form: BlowupForm, k_max: int,
                    check_area_excess: bool = False) -> SearchResult:
     """Exact minimum of area/Chern over classes with k in [k_min, k_max].
 
-    Enumerates every (k; m_1..m_p) with sum m_i^2 <= k^2 (negative m_i
-    included), area > 0 and Chern >= 2, comparing ratios exactly.  The
+    The minimum runs over every (k; m_1..m_p) with sum m_i^2 <= k^2
+    (negative m_i included), area > 0 and Chern >= 2; the module docstring
+    shows why the sorted, pruned table of ``_table`` reaches it.  The
     k-range may be partitioned across workers and the results combined by
-    taking the minimum.  With ``check_area_excess`` every admissible class
-    is additionally verified to satisfy area > k(1-kappa).
+    taking the minimum.  With ``check_area_excess`` every class with
+    positive square is additionally verified to satisfy area > k(1-kappa).
+    Raises ``OverflowError`` when lcm(denominators) * k_max >= 2^63.
     """
     if k_max < k_min or k_min < 1:
         raise ValueError(f"bad k range [{k_min}, {k_max}]")
-    p = form.p
-    if p == 0:
-        # only multiples of the line: ratio constant 1/3
-        return SearchResult(Fraction(1, 3), HomologyClass(k_min, ()))
+    lams = form.lambdas
+    d = lcm(*(l.denominator for l in lams))
+    if d * k_max >= SEARCH_LIMIT:
+        raise OverflowError(
+            f"lcm(denominators) * k_max = {d * k_max} is not below 2^63, "
+            "the limit of the lattice search")
+    # equal sizes take the coefficients of the witness in ascending order
+    order = sorted(range(len(lams)), key=lambda i: (lams[i], i), reverse=True)
+    n = [lams[i].numerator * (d // lams[i].denominator) for i in order]
+    n_sq = sum(x * x for x in n)
+    table = _table(len(lams), k_max)
+    # lane of row m: sum_i n_i (m_i + k_max) - k_max sum_i n_i + 2^63
+    packed = (SEARCH_LIMIT - k_max * sum(n)) * table.ones
+    for x, column in zip(n, table.columns):
+        packed += x * column
+    dots = array("Q", packed.to_bytes(8 * len(table.rows), sys.byteorder))
 
-    d = lcm(*(l.denominator for l in form.lambdas))
-    numer = np.array([int(l * d) for l in form.lambdas], dtype=np.int64)
-    pts, norms, sums = _lattice_ball(p, k_max * k_max)
-    dots = pts @ numer
-    kappa_sq = form.kappa_sq
-
-    best_float = np.inf
-    candidates: list[tuple[int, int]] = []  # (k, row index)
-    for k in range(k_min, k_max + 1):
-        cnt = int(np.searchsorted(norms, k * k, side="right"))
-        dk = dots[:cnt]
-        if check_area_excess:
-            _check_area_excess(form, k, d, dk, norms[:cnt], kappa_sq)
-        area_num = k * d - dk                  # area * d
-        chern = 3 * k - sums[:cnt]
-        ok = (area_num > 0) & (chern >= 2)
-        if not ok.any():
+    best_area, best_chern, best = d, 3, None        # k L at k_min: 1/3
+    for start, stop, s, lowest, kc_sq in table.groups:
+        top = dots[start] if stop - start == 1 else max(dots[start:stop])
+        dot = top - SEARCH_LIMIT
+        if check_area_excess and dot > 0 and dot * dot >= kc_sq * n_sq:
+            raise AssertionError(
+                f"area excess inequality fails at k={isqrt(kc_sq)}, dot={dot}")
+        k = lowest if lowest > k_min else k_min
+        if 3 * dot <= d * s or k > k_max:
             continue
-        idx = np.nonzero(ok)[0]
-        ratios = area_num[idx] / (chern[idx] * float(d))
-        lo = ratios.min()
-        if lo <= best_float * (1 + 1e-12):
-            best_float = min(best_float, lo)
-            near = idx[ratios <= lo * (1 + 1e-9)]
-            candidates.extend((k, int(i)) for i in near[:64])
+        area, chern = k * d - dot, 3 * k - s
+        if area * best_chern < best_area * chern:
+            best_area, best_chern = area, chern
+            best = (k, dots.index(top, start, stop))
 
-    best_val = None
-    best_witness = None
-    for k, i in candidates:
-        area = Fraction(int(k * d - dots[i]), d)
-        chern = int(3 * k - sums[i])
-        val = area / chern
-        if best_val is None or val < best_val:
-            best_val = val
-            best_witness = HomologyClass(k, tuple(int(x) for x in pts[i]))
-    return SearchResult(best_val, best_witness)
+    k, witness = k_min, [0] * len(lams)
+    if best is not None:
+        k, row = best
+        for i, m in zip(order, table.rows[row]):
+            witness[i] = m
+    return SearchResult(Fraction(best_area, d * best_chern),
+                        HomologyClass(k, tuple(witness)))

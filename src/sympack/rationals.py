@@ -19,7 +19,8 @@ MIN_PRECISION_BITS = 4
 
 PRECISION_ENV_VAR = "SYMPACK_PRECISION"
 
-_INTEGER = re.compile(r"[+-]?[0-9]+")
+# an integer literal as parse_rational and the ball-list "xN" count accept it
+INTEGER_LITERAL = re.compile(r"[+-]?[0-9]+")
 
 
 class RationalParseError(ValueError):
@@ -71,7 +72,7 @@ def parse_rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise RationalParseError(f"malformed rational {text!r}: {exc}") from None
     # int() also takes '1_000', inner blanks and non-ASCII digits
-    if not all(_INTEGER.fullmatch(part) for part in s.split("/")):
+    if not all(INTEGER_LITERAL.fullmatch(part) for part in s.split("/")):
         raise RationalParseError(
             f"malformed rational {text!r}: write each side of '/' as "
             "ASCII digits with an optional sign")

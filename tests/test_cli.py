@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import sympack
 from sympack.cli import COMMANDS, parse_ball_list, run
 from sympack.rationals import RationalParseError
 
@@ -21,6 +26,12 @@ def test_parse_ball_list():
     assert parse_ball_list("1,2/5x2,3") == [1, F(2, 5), F(2, 5), 3]
     with pytest.raises(RationalParseError):
         parse_ball_list("0.5")
+
+
+@pytest.mark.parametrize("text", ["1/2x1_000", "1/2x ３", "1/2x", "1/2x3x"])
+def test_parse_ball_list_rejects_repetition(text):
+    with pytest.raises(RationalParseError):
+        parse_ball_list(text)
 
 
 def test_weights_json(capsys):
@@ -272,8 +283,45 @@ def test_invalid_precision_exit_two(capsys, monkeypatch):
 
 
 def test_dstar_overflow_exit_two(capsys):
-    # lcm of six denominators near 1100 times k overflows the int64 search
+    # lcm of six denominators near 1100 times k reaches the search limit
     err = _invalid(capsys, ["dstar", "--lambdas",
                             "1/1103,1/1109,1/1117,1/1123,1/1129,1/1151",
                             "--search-kmax", "8"])
-    assert "int64" in err
+    assert "2^63" in err
+
+
+@pytest.mark.parametrize("command, content", [
+    ("decompose", {"curves": [{"area": 1, "residue": "1/10"}] * 3}),
+    ("decompose", [{"area": "1", "residue": "1/10"}]),
+    ("decompose", {"curves": [1, 2, 3]}),
+    ("decompose", {"curves": "1/2"}),
+    ("directed-check", {"components": [1]}),
+    ("directed-check", ["1"]),
+    ("directed-check", {"components": ["1"], "assignments": [
+        {"kind": "first_axis", "component": [0], "ellipsoid": ["2", "1/2"]}]}),
+    ("directed-check", {"components": ["1"], "assignments": [7]}),
+])
+def test_json_of_wrong_shape_exit_two(capsys, tmp_path, command, content):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    flag = "--polarization" if command == "decompose" else "--file"
+    assert "must be" in _invalid(capsys, [command, flag, str(path)])
+
+
+def test_decompose_balls_of_wrong_shape_exit_two(capsys, tmp_path):
+    pol = tmp_path / "pol.json"
+    pol.write_text(json.dumps({"curves": [{"area": "1", "residue": "1/10"}] * 3,
+                               "volume": "3/20"}))
+    for balls in ({"balls": [1]}, 3):
+        path = tmp_path / "balls.json"
+        path.write_text(json.dumps(balls))
+        _invalid(capsys, ["decompose", "--polarization", str(pol),
+                          "--balls", str(path)])
+
+
+def test_cli_import_leaves_numpy_out():
+    src = Path(sympack.__file__).resolve().parents[1]
+    subprocess.run(
+        [sys.executable, "-c",
+         "import sympack.cli, sys; assert 'numpy' not in sys.modules"],
+        env=dict(os.environ, PYTHONPATH=str(src)), check=True, timeout=60)

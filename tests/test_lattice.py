@@ -1,9 +1,12 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympack.lattice import (BlowupForm, HomologyClass, InfeasibleFormError,
                              blowup_bound, class_invariants, d_omega_bound,
@@ -12,12 +15,12 @@ from sympack.lattice import (BlowupForm, HomologyClass, InfeasibleFormError,
 F = Fraction
 
 
-def brute_force_min(lams, k_max):
+def brute_force_min(lams, k_max, k_min=1):
     """Independent reference: direct product enumeration, pure Fractions."""
     lams = tuple(F(l) for l in lams)
     p = len(lams)
     best = None
-    for k in range(1, k_max + 1):
+    for k in range(k_min, k_max + 1):
         r = math.isqrt(k * k)
         for m in itertools.product(range(-r, r + 1), repeat=p):
             if sum(x * x for x in m) > k * k:
@@ -130,3 +133,63 @@ def test_search_bad_range():
         d_omega_search(BlowupForm((F(1, 2),)), 0)
     with pytest.raises(ValueError):
         d_omega_search(BlowupForm((F(1, 2),)), 3, k_min=4)
+
+
+sizes = st.builds(lambda num, den: F(min(num, den - 1), den),
+                  st.integers(1, 23), st.integers(2, 24))
+
+
+def forms(max_p):
+    """Forms of rank <= max_p <= 8; sizes with kappa^2 >= 1 are cut by 3."""
+    def form(lams):
+        if sum(l * l for l in lams) >= 1:
+            lams = [l / 3 for l in lams]
+        return BlowupForm(tuple(lams))
+
+    return st.lists(sizes, max_size=max_p).map(form)
+
+
+def k_ranges(max_k):
+    return st.integers(1, max_k).flatmap(
+        lambda k_max: st.tuples(st.integers(1, k_max), st.just(k_max)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms(4), k_ranges(4), st.data())
+def test_search_matches_brute_force_on_k_ranges(form, k_range, data):
+    k_min, k_max = k_range
+    whole = d_omega_search(form, k_max, k_min).value
+    assert whole == brute_force_min(form.lambdas, k_max, k_min)
+    split = data.draw(st.integers(k_min, k_max))
+    if split < k_max:
+        parts = (d_omega_search(form, split, k_min),
+                 d_omega_search(form, k_max, split + 1))
+        assert min(r.value for r in parts) == whole
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms(6), k_ranges(8), st.data())
+def test_search_value_ignores_order(form, k_range, data):
+    shuffled = BlowupForm(tuple(data.draw(st.permutations(form.lambdas))))
+    assert (d_omega_search(shuffled, k_range[1], k_range[0]).value
+            == d_omega_search(form, k_range[1], k_range[0]).value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(forms(6), k_ranges(8))
+def test_search_witness_attains_value(form, k_range):
+    k_min, k_max = k_range
+    res = d_omega_search(form, k_max, k_min, check_area_excess=True)
+    self_int, chern, area = class_invariants(res.witness, form)
+    assert k_min <= res.witness.k <= k_max
+    assert self_int >= 0 and chern >= 2
+    assert area / chern == res.value
+
+
+def test_search_rank_eight_within_budget():
+    # the first call builds the table of p = 8, k = 8 (5,023 rows)
+    form = BlowupForm(tuple(F(1, 3) for _ in range(8)))
+    started = time.perf_counter()
+    res = d_omega_search(form, 8, check_area_excess=True)
+    assert time.perf_counter() - started < 5.0
+    assert res.value == F(1, 3)
