@@ -6,17 +6,25 @@ bound; the result is a certified lower bound for the capacity below which
 every volume-admissible ball collection embeds.  Certificates are
 one-sided: NOT_CERTIFIED draws no conclusion.  For targets that reduce to
 the plane, the Cremona oracle gives the exact decision.
+
+Both are computed on integers.  A threshold takes kappa^2 and p of the
+complement from Euclid on numerators and denominators and is normalized
+once.  A certificate works on runs of one repeated ball object, as ``xN``
+and ``[c] * k`` produce them: each run is converted and checked once, and
+its volume enters as count * c^2.  The certificate still lists one
+capacity, one check and one reason per ball, in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import toric
 from .cremona import PackingVector, ReductionTrace, reduce_vector
-from .lattice import BlowupForm, blowup_bound, d_omega_bound
-from .weights import ellipsoid_weights, weight_count
+from .lattice import BlowupForm, blowup_terms
+from .weights import ellipsoid_weights, quotient_sum
 
 CONSERVATIVE = "conservative"
 OPTIMISTIC = "optimistic"
@@ -40,11 +48,22 @@ def _check_mode(mode: str):
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
+def _ellipsoid_terms(n: int, d: int) -> tuple[int, int, int]:
+    """(kappa^2 numerator, denominator, p) for c = n/d > 1 in lowest terms.
+
+    The complement of E(1,c) in P^2(c) is E(c-1, c): kappa^2 = (c-1)/c =
+    (n-d)/n, already in lowest terms, and p counts the weights of (n-d, n).
+    """
+    return n - d, n, quotient_sum(n, n - d)
+
+
 def ellipsoid_bound_parts(c: Fraction) -> tuple[Fraction, int]:
     """(kappa^2, p) of the complement of E(1,c) in P^2(c), c > 1 rational."""
-    kappa_sq = (c - 1) / c
-    p = weight_count(c / (c - 1))
-    return kappa_sq, p
+    c = Fraction(c)
+    if c <= 1:
+        raise ValueError(f"need c > 1, got {c}")
+    kappa_num, kappa_den, p = _ellipsoid_terms(c.numerator, c.denominator)
+    return Fraction(kappa_num, kappa_den), p
 
 
 def lambda_bound(t: Target, mode: str = CONSERVATIVE,
@@ -56,29 +75,35 @@ def lambda_bound(t: Target, mode: str = CONSERVATIVE,
     with the target.
     """
     _check_mode(mode)
+    halve = 2 if mode == CONSERVATIVE else 1
     if isinstance(t, BlowupForm):
-        bound = d_omega_bound(t, precision)
+        scale, scale_den = 1, 1
+        kappa_num, kappa_den, p = (t.kappa_sq.numerator,
+                                   t.kappa_sq.denominator, t.p)
     elif isinstance(t, toric.Ball):
-        bound = t.capacity / 3
+        return t.capacity / (3 * halve)
     elif isinstance(t, toric.Ellipsoid):
-        small, big = min(t.a, t.b), max(t.a, t.b)
-        if small == big:
-            bound = small / 3
-        else:
-            kappa_sq, p = ellipsoid_bound_parts(big / small)
-            bound = big * blowup_bound(kappa_sq, p, precision)
+        big = max(t.a, t.b)
+        c = big / min(t.a, t.b)
+        if c == 1:
+            return big / (3 * halve)
+        scale, scale_den = big.numerator, big.denominator
+        kappa_num, kappa_den, p = _ellipsoid_terms(c.numerator, c.denominator)
     elif isinstance(t, toric.PseudoBall):
-        mu = t.alpha + t.beta
-        e1 = (mu - t.a, t.alpha)
-        e2 = (mu - t.b, t.beta)
-        kappa_sq = (e1[0] * e1[1] + e2[0] * e2[1]) / mu ** 2
-        p = (weight_count(max(e1) / min(e1)) + weight_count(max(e2) / min(e2)))
-        bound = mu * blowup_bound(kappa_sq, p, precision)
+        # on the common denominator: P^2(mu) minus E(mu-a, alpha), E(mu-b, beta)
+        d = lcm(t.a.denominator, t.b.denominator,
+                t.alpha.denominator, t.beta.denominator)
+        a, b, alpha, beta = (x.numerator * (d // x.denominator)
+                             for x in (t.a, t.b, t.alpha, t.beta))
+        mu = alpha + beta
+        scale, scale_den = mu, d
+        kappa_num = (mu - a) * alpha + (mu - b) * beta
+        kappa_den = mu * mu
+        p = quotient_sum(mu - a, alpha) + quotient_sum(mu - b, beta)
     else:
         raise TypeError(f"unsupported target {t!r}")
-    if mode == CONSERVATIVE:
-        bound = bound / 2
-    return bound
+    num, den = blowup_terms(kappa_num, kappa_den, p, precision)
+    return Fraction(scale * num, scale_den * den * halve)
 
 
 @dataclass(frozen=True)
@@ -111,23 +136,33 @@ def certify_packing(t: Target, balls, mode: str = CONSERVATIVE,
     volume obstruction (non-strict) holds; every failed check is listed.
     """
     _check_mode(mode)
-    capacities = tuple(Fraction(b) for b in balls)
-    if any(b <= 0 for b in capacities):
+    runs: list[list] = []              # [ball object, count]
+    for b in balls:
+        if runs and b is runs[-1][0]:
+            runs[-1][1] += 1
+        else:
+            runs.append([b, 1])
+    runs = [(Fraction(b), count) for b, count in runs]
+    if any(c <= 0 for c, _ in runs):
         raise ValueError("ball capacities must be > 0")
     threshold = lambda_bound(t, mode, precision)
-    checks = tuple(BallCheck(b, b < threshold) for b in capacities)
-    vol = target_volume(t)
-    slack = vol - sum((b * b for b in capacities), Fraction(0)) / 2
-    reasons = []
-    for chk in checks:
-        if not chk.below_threshold:
-            reasons.append(
-                f"capacity {chk.capacity} >= threshold {threshold}")
+    capacities: list[Fraction] = []
+    checks: list[BallCheck] = []
+    reasons: list[str] = []
+    squares = Fraction(0)
+    for c, count in runs:
+        below = c < threshold
+        capacities += [c] * count
+        checks += [BallCheck(c, below)] * count
+        if not below:
+            reasons += [f"capacity {c} >= threshold {threshold}"] * count
+        squares += Fraction(count * c.numerator ** 2, c.denominator ** 2)
+    slack = target_volume(t) - squares / 2
     if slack < 0:
         reasons.append(f"volume obstruction fails by {-slack}")
     verdict = "CERTIFIED" if not reasons else "NOT_CERTIFIED"
-    return Certificate(t, threshold, mode, capacities, checks, slack,
-                       verdict, tuple(reasons))
+    return Certificate(t, threshold, mode, tuple(capacities), tuple(checks),
+                       slack, verdict, tuple(reasons))
 
 
 def decide_balls_into_ellipsoid(a, balls) -> ReductionTrace:

@@ -25,6 +25,7 @@ EXIT_REJECT = 1
 EXIT_INVALID = 2
 
 DECIMAL_DIGITS = 12
+MAX_BALLS = 10 ** 6             # balls a ball list may hold, repetitions included
 
 
 def _fmt(x) -> str:
@@ -41,12 +42,17 @@ def _bound_json(value: Fraction, precision: int) -> dict:
 
 
 def parse_ball_list(text: str) -> list[Fraction]:
-    """Comma-separated capacities, each 'p/q' or with 'xN' repetition."""
+    """Comma-separated capacities, each 'p/q' or with 'xN' repetition.
+
+    A list of more than MAX_BALLS balls is a parse error.
+    """
     balls: list[Fraction] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
+        count = 1
+        cap_text = part
         if "x" in part:
             cap_text, count_text = part.rsplit("x", 1)
             count_text = count_text.strip()
@@ -57,9 +63,11 @@ def parse_ball_list(text: str) -> list[Fraction]:
             count = int(count_text)
             if count < 0:
                 raise RationalParseError(f"negative repetition in {part!r}")
-            balls.extend([parse_rational(cap_text)] * count)
-        else:
-            balls.append(parse_rational(part))
+        cap = parse_rational(cap_text)
+        if len(balls) + count > MAX_BALLS:
+            raise RationalParseError(
+                f"ball list holds more than {MAX_BALLS} balls (at {part!r})")
+        balls.extend([cap] * count)
     return balls
 
 

@@ -46,6 +46,10 @@ ratio (k d - D)/(d c).  Four facts cut the classes it has to look at:
    each group's largest D at its k_c covers every class with positive
    square in range.  Rows with no admissible k stay in the table for it.
 
+The table is bounded before it is built: a memoized count over the same
+recursion as its enumeration gives its number of sorted rows, and more
+than ``ROW_LIMIT`` raises ``TableSizeError``.
+
 The values D of all rows come from one packed product: coordinate i of
 every row is packed into one integer with a 64-bit lane per row, so that
 sum_i n_i * column_i holds each D, offset by 2^63, in its own lane.  The
@@ -59,12 +63,12 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
-from .rationals import sqrt_upper
+from .rationals import default_precision, sqrt_enclosure
 
 
 class InfeasibleFormError(ValueError):
@@ -102,9 +106,11 @@ class BlowupForm:
     def p(self) -> int:
         return len(self.lambdas)
 
-    @property
+    @cached_property
     def kappa_sq(self) -> Fraction:
-        return sum((l * l for l in self.lambdas), Fraction(0))
+        d = lcm(*(l.denominator for l in self.lambdas))
+        return Fraction(sum((l.numerator * (d // l.denominator)) ** 2
+                            for l in self.lambdas), d * d)
 
     @property
     def volume(self) -> Fraction:
@@ -125,15 +131,34 @@ def class_invariants(b: HomologyClass, form: BlowupForm):
     return self_int, chern, area
 
 
+def blowup_terms(kappa_num: int, kappa_den: int, p: int,
+                 precision: int | None = None) -> tuple[int, int]:
+    """Numerator and denominator of the blow-up bound of kappa^2 = kappa_num/kappa_den.
+
+    kappa and sqrt(p) are replaced by their upper enclosures from
+    ``rationals.sqrt_enclosure``, K / (e 2^b) and P / 2^b with e the
+    reduced denominator of kappa^2, so the bound is
+    (e 2^b - K) / (e (3 2^b + P)), returned unreduced.
+    """
+    g = gcd(kappa_num, kappa_den)
+    kappa_num, kappa_den = kappa_num // g, kappa_den // g
+    bits = default_precision() if precision is None else precision
+    k_up = sqrt_enclosure(kappa_num, kappa_den, bits)[1]
+    p_up = sqrt_enclosure(p, 1, bits)[1]
+    return (kappa_den << bits) - k_up, kappa_den * ((3 << bits) + p_up)
+
+
 def blowup_bound(kappa_sq, p: int, precision: int | None = None) -> Fraction:
     """Certified lower bound (1-kappa)/(3+sqrt(p)) for kappa^2 = kappa_sq.
 
     kappa and sqrt(p) are replaced by rational upper bounds, so the
-    returned Fraction never exceeds the true value.  Square roots of 0 are
-    exact, so kappa^2 = p = 0 (no blow-up) gives 1/3.
+    returned Fraction never exceeds the true value; it is built from the
+    integer terms of ``blowup_terms`` with one normalization.  Square roots
+    of 0 are exact, so kappa^2 = p = 0 (no blow-up) gives 1/3.
     """
-    return ((1 - sqrt_upper(kappa_sq, precision))
-            / (3 + sqrt_upper(p, precision)))
+    kappa_sq = Fraction(kappa_sq)
+    return Fraction(*blowup_terms(kappa_sq.numerator, kappa_sq.denominator,
+                                  p, precision))
 
 
 def d_omega_bound(form: BlowupForm, precision: int | None = None) -> Fraction:
@@ -148,6 +173,15 @@ class SearchResult:
 
 
 SEARCH_LIMIT = 1 << 63          # lcm(denominators) * k_max must stay below
+ROW_LIMIT = 50_000              # sorted rows a search table may hold
+
+
+class TableSizeError(ValueError):
+    """A search table of (p, k_max) with more than ROW_LIMIT sorted rows."""
+
+
+class AreaExcessError(RuntimeError):
+    """A class that fails the area-excess check of ``d_omega_search``."""
 
 
 class _Table(NamedTuple):
@@ -185,9 +219,42 @@ def _sorted_rows(p: int, k_max: int):
     return extend((), k_max, k_max * k_max)
 
 
+def _row_count(p: int, k_max: int, cap: int) -> int:
+    """Number of rows ``_sorted_rows(p, k_max)`` yields, or cap + 1 if above cap.
+
+    Counts the same recursion without listing it: the rows below a prefix
+    depend only on its remaining length, last entry and remaining norm.  A
+    row has at most k_max^2 non-zero entries, so entries beyond that add no
+    rows; and the (n+1)(n+2)/2 rows of n entries in {1, 0, -1} alone settle
+    a long row at once, which keeps the recursion shallow.
+    """
+    n = min(p, k_max * k_max)
+    if (n + 1) * (n + 2) // 2 > cap:
+        return cap + 1
+
+    @lru_cache(maxsize=None)
+    def count(left, top, budget):
+        if left == 0:
+            return 1
+        total = 0
+        for v in range(min(top, isqrt(budget)), -isqrt(budget) - 1, -1):
+            if v < 0 and v * v * left > budget:
+                break
+            total += count(left - 1, v, budget - v * v)
+            if total > cap:
+                return cap + 1
+        return total
+
+    return count(n, k_max, k_max * k_max)
+
+
 @lru_cache(maxsize=32)
 def _table(p: int, k_max: int) -> _Table:
     """The search table of (p, k_max): fact 3 applied to every sorted row."""
+    if _row_count(p, k_max, ROW_LIMIT) > ROW_LIMIT:
+        raise TableSizeError(
+            f"the search table of p = {p}, k_max = {k_max} has more than "
+            f"{ROW_LIMIT} sorted rows; lower k_max")
     groups: dict[tuple[int, int, int], list] = {}
     for m in _sorted_rows(p, k_max):
         norm = sum(v * v for v in m)
@@ -221,7 +288,9 @@ def d_omega_search(form: BlowupForm, k_max: int,
     k-range may be partitioned across workers and the results combined by
     taking the minimum.  With ``check_area_excess`` every class with
     positive square is additionally verified to satisfy area > k(1-kappa).
-    Raises ``OverflowError`` when lcm(denominators) * k_max >= 2^63.
+    Raises ``OverflowError`` when lcm(denominators) * k_max >= 2^63,
+    ``TableSizeError`` when the table of (p, k_max) would exceed
+    ``ROW_LIMIT`` rows, and ``AreaExcessError`` when the check fails.
     """
     if k_max < k_min or k_min < 1:
         raise ValueError(f"bad k range [{k_min}, {k_max}]")
@@ -247,7 +316,7 @@ def d_omega_search(form: BlowupForm, k_max: int,
         top = dots[start] if stop - start == 1 else max(dots[start:stop])
         dot = top - SEARCH_LIMIT
         if check_area_excess and dot > 0 and dot * dot >= kc_sq * n_sq:
-            raise AssertionError(
+            raise AreaExcessError(
                 f"area excess inequality fails at k={isqrt(kc_sq)}, dot={dot}")
         k = lowest if lowest > k_min else k_min
         if 3 * dot <= d * s or k > k_max:

@@ -103,6 +103,19 @@ def rational_below(x, max_denominator: int = 10**6) -> Fraction:
     return cand
 
 
+def sqrt_enclosure(num: int, den: int, bits: int) -> tuple[int, int]:
+    """(lower, upper) numerators of sqrt(num/den) over the denominator den * 2^bits.
+
+    num/den >= 0 must be in lowest terms: the enclosure is taken on that
+    grid, so a scaled representation of the same rational gives other
+    numerators.  lower == upper exactly when the root is on the grid, in
+    particular on perfect squares; otherwise upper = lower + 1.
+    """
+    scaled = (num * den) << (2 * bits)
+    root = isqrt(scaled)
+    return root, root if root * root == scaled else root + 1
+
+
 def sqrt_bounds(x, precision: int | None = None) -> tuple[Fraction, Fraction]:
     """Rational (lower, upper) enclosure of sqrt(x), exact on perfect squares.
 
@@ -113,14 +126,10 @@ def sqrt_bounds(x, precision: int | None = None) -> tuple[Fraction, Fraction]:
     if x < 0:
         raise ValueError("square root of negative rational")
     bits = default_precision() if precision is None else precision
-    num, den = x.numerator, x.denominator
-    scaled = (num * den) << (2 * bits)
-    root = isqrt(scaled)
-    denom = den << bits
-    lower = Fraction(root, denom)
-    if root * root == scaled:
-        return lower, lower
-    return lower, Fraction(root + 1, denom)
+    lower, upper = sqrt_enclosure(x.numerator, x.denominator, bits)
+    denom = x.denominator << bits
+    low = Fraction(lower, denom)
+    return low, low if upper == lower else Fraction(upper, denom)
 
 
 def sqrt_lower(x, precision: int | None = None) -> Fraction:

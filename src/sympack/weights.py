@@ -5,12 +5,17 @@ subtraction: starting from the pair (a, 1), repeatedly subtract the smaller
 entry from the larger and record the smaller.  Its length equals the sum of
 the partial quotients of the continued fraction of a, and the squares of
 the weights sum back to a exactly.
+
+The subtractions run in quotient runs: with a = n/q, the pair (a, 1) is
+(n, q)/q, and one ``divmod`` of the integer pair gives a whole run of equal
+weights, one ``Fraction`` repeated as often as its partial quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 class WeightError(ValueError):
@@ -46,29 +51,41 @@ class WeightSequence:
         return sum((w * w for w in self.weights), Fraction(0))
 
 
+def _euclid(x: int, y: int):
+    """(quotient, divisor) of each division of Euclid's algorithm on x, y."""
+    while y:
+        q, r = divmod(x, y)
+        yield q, y
+        x, y = y, r
+
+
+def _euclid_weights(x: int, y: int, scale: int) -> tuple[Fraction, ...]:
+    """Weights of the pair (x, y)/scale, x >= y > 0: one run per quotient."""
+    weights: list[Fraction] = []
+    for q, y in _euclid(x, y):
+        weights += [Fraction(y, scale)] * q
+    return tuple(weights)
+
+
+def quotient_sum(x: int, y: int) -> int:
+    """Sum of the partial quotients of x/y for positive integers x, y.
+
+    This is the number of weights of E(x, y), in either order of x and y.
+    """
+    return sum(q for q, _ in _euclid(x, y))
+
+
 def weight_sequence(a) -> WeightSequence:
     """Weights of E(1,a) by Euclidean subtraction; deterministic and exact."""
     a = _check_normalized(a)
-    weights = []
-    x, y = a, Fraction(1)
-    while x > 0:
-        if x < y:
-            x, y = y, x
-        weights.append(y)
-        x -= y
-    return WeightSequence(tuple(weights), a)
+    return WeightSequence(
+        _euclid_weights(a.numerator, a.denominator, a.denominator), a)
 
 
 def continued_fraction(a) -> list[int]:
     """Partial quotients [q0; q1, ...] of a rational a >= 1."""
     a = _check_normalized(a)
-    num, den = a.numerator, a.denominator
-    quotients = []
-    while den:
-        q, r = divmod(num, den)
-        quotients.append(q)
-        num, den = den, r
-    return quotients
+    return [q for q, _ in _euclid(a.numerator, a.denominator)]
 
 
 def weight_count(a) -> int:
@@ -84,5 +101,6 @@ def ellipsoid_weights(a, b) -> tuple[Fraction, ...]:
     a, b = Fraction(a), Fraction(b)
     if a <= 0 or b <= 0:
         raise WeightError(f"ellipsoid parameters must be positive, got ({a}, {b})")
-    small, big = min(a, b), max(a, b)
-    return tuple(small * w for w in weight_sequence(big / small).weights)
+    d = lcm(a.denominator, b.denominator)
+    x, y = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+    return _euclid_weights(max(x, y), min(x, y), d)

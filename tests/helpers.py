@@ -6,8 +6,10 @@ import math
 import random
 from fractions import Fraction
 
-from sympack import planner, toric
+from sympack import certifier, planner, toric
 from sympack.cremona import REASON_MU_EXHAUSTED, REASON_NEGATIVE, REASON_VOLUME
+from sympack.lattice import BlowupForm
+from sympack.rationals import sqrt_upper
 
 
 def rand_fraction(rng: random.Random, lo: Fraction, hi: Fraction,
@@ -53,6 +55,63 @@ def reference_reduce(mu, lambdas, strict_volume: bool = False):
         if mu <= 0 and any(l > 0 for l in after):
             return "rejected", REASON_MU_EXHAUSTED, vol_ok, steps
         lams = sorted(after, reverse=True)
+
+
+def reference_blowup_bound(kappa_sq, p, precision=None) -> Fraction:
+    """(1-kappa)/(3+sqrt(p)) from the two rounded-up roots of ``sqrt_upper``."""
+    return ((1 - sqrt_upper(Fraction(kappa_sq), precision))
+            / (3 + sqrt_upper(p, precision)))
+
+
+def reference_weight_sequence(a) -> tuple[Fraction, ...]:
+    """Weights of E(1,a) by one Fraction subtraction per weight."""
+    x, y = Fraction(a), Fraction(1)
+    weights = []
+    while x > 0:
+        if x < y:
+            x, y = y, x
+        weights.append(y)
+        x -= y
+    return tuple(weights)
+
+
+def reference_lambda_bound(t, mode, precision=None) -> Fraction:
+    """The threshold of ``certifier.lambda_bound`` computed on Fractions."""
+    if isinstance(t, BlowupForm):
+        bound = reference_blowup_bound(sum(l * l for l in t.lambdas),
+                                       len(t.lambdas), precision)
+    elif isinstance(t, toric.Ball):
+        bound = t.capacity / 3
+    elif isinstance(t, toric.Ellipsoid):
+        small, big = min(t.a, t.b), max(t.a, t.b)
+        c = big / small
+        bound = small / 3 if c == 1 else big * reference_blowup_bound(
+            (c - 1) / c, len(reference_weight_sequence(c / (c - 1))), precision)
+    else:
+        mu = t.alpha + t.beta
+        e1, e2 = (mu - t.a, t.alpha), (mu - t.b, t.beta)
+        p = sum(len(reference_weight_sequence(max(e) / min(e))) for e in (e1, e2))
+        bound = mu * reference_blowup_bound(
+            (e1[0] * e1[1] + e2[0] * e2[1]) / mu ** 2, p, precision)
+    return bound / 2 if mode == certifier.CONSERVATIVE else bound
+
+
+def reference_certify_packing(t, balls, mode, precision=None):
+    """The certificate of ``certifier.certify_packing``, one ball at a time."""
+    capacities = tuple(Fraction(b) for b in balls)
+    if any(b <= 0 for b in capacities):
+        raise ValueError("ball capacities must be > 0")
+    threshold = reference_lambda_bound(t, mode, precision)
+    checks = tuple(certifier.BallCheck(b, b < threshold) for b in capacities)
+    slack = certifier.target_volume(t) - sum((b * b for b in capacities),
+                                             Fraction(0)) / 2
+    reasons = [f"capacity {chk.capacity} >= threshold {threshold}"
+               for chk in checks if not chk.below_threshold]
+    if slack < 0:
+        reasons.append(f"volume obstruction fails by {-slack}")
+    return certifier.Certificate(
+        t, threshold, mode, capacities, checks, slack,
+        "NOT_CERTIFIED" if reasons else "CERTIFIED", tuple(reasons))
 
 
 def rand_pseudo_ball(rng: random.Random) -> toric.PseudoBall:

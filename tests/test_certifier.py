@@ -1,8 +1,11 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympack import toric
 from sympack.certifier import (CONSERVATIVE, OPTIMISTIC, AxisAssignment,
@@ -15,7 +18,8 @@ from sympack.certifier import (CONSERVATIVE, OPTIMISTIC, AxisAssignment,
 from sympack.lattice import BlowupForm, d_omega_bound
 from sympack.weights import ellipsoid_weights
 
-from helpers import rand_fraction, rand_pseudo_ball
+from helpers import (rand_fraction, rand_pseudo_ball,
+                     reference_certify_packing, reference_lambda_bound)
 
 F = Fraction
 
@@ -46,6 +50,9 @@ def test_ellipsoid_bound_parts():
     assert kappa_sq == F(1, 2) and p == 2
     kappa_sq, p = ellipsoid_bound_parts(F(7))
     assert kappa_sq == F(6, 7) and p == 7
+    for c in (F(1), F(1, 2)):
+        with pytest.raises(ValueError):
+            ellipsoid_bound_parts(c)
 
 
 def test_bound_is_the_complement_blowup_bound():
@@ -140,6 +147,79 @@ def test_certify_scale_invariant_verdict():
     b = certify_packing(toric.Ellipsoid(c, 2 * c), [c * x for x in balls],
                         OPTIMISTIC)
     assert a.verdict == b.verdict
+
+
+def positive(max_num=60, max_den=97):
+    return st.builds(F, st.integers(1, max_num), st.integers(1, max_den))
+
+
+def unit_interval():
+    """Rationals strictly between 0 and 1."""
+    return st.builds(lambda n, d: F(n, n + d), st.integers(1, 500),
+                     st.integers(1, 500))
+
+
+pseudo_balls = st.builds(
+    lambda alpha, beta, s, t: toric.PseudoBall(alpha + s * beta,
+                                               beta + t * alpha, alpha, beta),
+    positive(), positive(), unit_interval(), unit_interval())
+
+targets = st.one_of(
+    st.builds(toric.Ellipsoid, positive(), positive()),
+    st.builds(lambda a: toric.Ellipsoid(a, a), positive()),
+    st.builds(toric.Ball, positive()),
+    pseudo_balls,
+    st.lists(st.builds(F, st.integers(1, 9), st.integers(30, 400)),
+             max_size=6).map(lambda ls: BlowupForm(tuple(ls))))
+modes = st.sampled_from((CONSERVATIVE, OPTIMISTIC))
+precisions = st.sampled_from((None, 4, 17, 64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(targets, modes, precisions)
+def test_lambda_bound_matches_reference(t, mode, precision):
+    assert lambda_bound(t, mode, precision) == reference_lambda_bound(
+        t, mode, precision)
+
+
+def _run(kind, c, count):
+    """``count`` balls of capacity c: one object, equal distinct objects,
+    one string, or one int."""
+    if kind == "same":
+        return [c] * count
+    if kind == "distinct":
+        return [F(c.numerator, c.denominator) for _ in range(count)]
+    if kind == "str":
+        return [f"{c.numerator}/{c.denominator}"] * count
+    return [c.numerator] * count
+
+
+ball_lists = st.lists(
+    st.builds(_run, st.sampled_from(("same", "distinct", "str", "int")),
+              st.builds(F, st.integers(1, 40), st.integers(1, 120)),
+              st.integers(1, 30)),
+    max_size=6).map(lambda runs: [b for run in runs for b in run])
+
+
+@settings(max_examples=300, deadline=None)
+@given(targets, ball_lists, modes, precisions)
+def test_certify_packing_matches_reference(t, balls, mode, precision):
+    assert certify_packing(t, balls, mode, precision) == reference_certify_packing(
+        t, balls, mode, precision)
+
+
+def test_certify_packing_rejects_nonpositive_run():
+    with pytest.raises(ValueError):
+        certify_packing(toric.Ball(1), [F(1, 10)] * 3 + [F(0)] * 2)
+
+
+def test_certify_long_list_within_budget():
+    balls = [F(13, 100)] * 10 ** 5
+    started = time.perf_counter()
+    cert = certify_packing(toric.Ellipsoid(1, 2), balls, OPTIMISTIC)
+    assert time.perf_counter() - started < 0.25
+    assert cert.volume_slack == 1 - 10 ** 5 * F(169, 20000)
+    assert len(cert.checks) == 10 ** 5
 
 
 def test_decide_full_fill_two():

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import sympack
-from sympack.cli import COMMANDS, parse_ball_list, run
+from sympack import cli
+from sympack.cli import COMMANDS, MAX_BALLS, parse_ball_list, run
 from sympack.rationals import RationalParseError
 
 F = Fraction
@@ -288,6 +289,32 @@ def test_dstar_overflow_exit_two(capsys):
                             "1/1103,1/1109,1/1117,1/1123,1/1129,1/1151",
                             "--search-kmax", "8"])
     assert "2^63" in err
+
+
+def test_dstar_table_above_row_limit_exit_two(capsys):
+    err = _invalid(capsys, ["dstar", "--lambdas", "1/10x6",
+                            "--search-kmax", "20"])
+    assert "50000" in err
+
+
+def test_ball_list_at_limit():
+    assert len(parse_ball_list(f"1/1000x{MAX_BALLS - 1},1/2")) == MAX_BALLS
+    for text in (f"1/1000x{MAX_BALLS + 1}", f"1/1000x{MAX_BALLS},1/2",
+                 "1/1000x3000000000"):
+        with pytest.raises(RationalParseError, match="more than"):
+            parse_ball_list(text)
+
+
+def test_certify_ball_count_limit(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_BALLS", 1000)
+    code, out = capture(capsys, ["certify", "--target", "E(1,2)",
+                                 "--balls", "1/1000x999,1/2"])
+    assert code == 1 and len(json.loads(out)["balls"]) == 1000
+    assert "more than 1000 balls" in _invalid(
+        capsys, ["certify", "--target", "E(1,2)", "--balls", "1/1000x999,1/2x2"])
+    monkeypatch.undo()
+    assert "more than 1000000 balls" in _invalid(
+        capsys, ["certify", "--target", "E(1,2)", "--balls", "1/1000x3000000000"])
 
 
 @pytest.mark.parametrize("command, content", [

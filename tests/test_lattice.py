@@ -8,9 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympack.lattice import (BlowupForm, HomologyClass, InfeasibleFormError,
-                             blowup_bound, class_invariants, d_omega_bound,
-                             d_omega_search)
+from sympack import lattice
+from sympack.lattice import (ROW_LIMIT, AreaExcessError, BlowupForm,
+                             HomologyClass, InfeasibleFormError,
+                             TableSizeError, blowup_bound, class_invariants,
+                             d_omega_bound, d_omega_search)
+
+from helpers import reference_blowup_bound
 
 F = Fraction
 
@@ -193,3 +197,56 @@ def test_search_rank_eight_within_budget():
     res = d_omega_search(form, 8, check_area_excess=True)
     assert time.perf_counter() - started < 5.0
     assert res.value == F(1, 3)
+
+
+precisions = st.sampled_from((None, 4, 17, 64))
+
+
+@settings(max_examples=300)
+@given(st.fractions(0, 1).filter(lambda x: x < 1), st.integers(0, 200),
+       precisions)
+def test_blowup_bound_matches_reference(kappa_sq, p, precision):
+    assert blowup_bound(kappa_sq, p, precision) == reference_blowup_bound(
+        kappa_sq, p, precision)
+
+
+@given(forms(8), precisions)
+def test_d_omega_bound_matches_reference(form, precision):
+    kappa_sq = sum((l * l for l in form.lambdas), F(0))
+    assert form.kappa_sq == kappa_sq
+    assert form.kappa_sq is form.kappa_sq
+    assert d_omega_bound(form, precision) == reference_blowup_bound(
+        kappa_sq, form.p, precision)
+
+
+def test_row_count_matches_enumeration():
+    for p in range(5):
+        for k_max in range(1, 8):
+            rows = sum(1 for _ in lattice._sorted_rows(p, k_max))
+            assert lattice._row_count(p, k_max, 10 ** 6) == rows
+            assert lattice._row_count(p, k_max, rows) == rows
+            assert lattice._row_count(p, k_max, rows - 1) == rows
+    assert lattice._row_count(8, 8, ROW_LIMIT) == 17631
+    assert lattice._row_count(6, 12, ROW_LIMIT) == 48796
+
+
+@pytest.mark.parametrize("p, k_max", [(6, 13), (6, 20), (2, 200), (600, 8),
+                                      (3, 10 ** 9)])
+def test_search_table_above_row_limit(p, k_max):
+    form = BlowupForm(tuple(F(1, 30) for _ in range(p)))
+    started = time.perf_counter()
+    with pytest.raises(TableSizeError, match="more than 50000"):
+        d_omega_search(form, k_max)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_area_excess_failure_is_named(monkeypatch):
+    # one group whose largest D = 2 fails D^2 < k_c^2 * |n|^2 = 1
+    rows = ((2,),)
+    forged = lattice._Table(((0, 1, 2, 1, 1),), rows,
+                            (lattice._pack([2 + 8]),), lattice._pack([1]))
+    monkeypatch.setattr(lattice, "_table", lambda p, k_max: forged)
+    with pytest.raises(AreaExcessError) as failure:
+        d_omega_search(BlowupForm((F(1, 2),)), 8, check_area_excess=True)
+    assert not isinstance(failure.value, AssertionError)
+    d_omega_search(BlowupForm((F(1, 2),)), 8)

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sympack.rationals import (RationalParseError, format_rational,
-                               parse_rational)
+                               parse_rational, sqrt_bounds)
 
 F = Fraction
 
@@ -28,3 +28,11 @@ def test_parse_accepts_signs_and_outer_blanks():
 def test_parse_rejects(text):
     with pytest.raises(RationalParseError):
         parse_rational(text)
+
+
+@given(st.fractions(min_value=0), st.integers(4, 80))
+def test_sqrt_bounds_enclose_the_root(x, bits):
+    lower, upper = sqrt_bounds(x, bits)
+    assert lower * lower <= x <= upper * upper
+    assert upper - lower in (0, F(1, x.denominator << bits))
+    assert sqrt_bounds(x * x, bits) == (x, x)

@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympack.weights import (WeightError, continued_fraction, ellipsoid_weights,
-                             weight_count, weight_sequence)
+                             quotient_sum, weight_count, weight_sequence)
+
+from helpers import reference_weight_sequence
 
 F = Fraction
 
@@ -103,3 +107,28 @@ def test_ellipsoid_weights_square_sum():
 def test_ellipsoid_weights_rejects_nonpositive():
     with pytest.raises(WeightError):
         ellipsoid_weights(0, 1)
+
+
+# a >= 1 with long quotient runs as well as short ones
+at_least_one = st.builds(lambda q, extra: F(q + extra, q),
+                         st.integers(1, 400), st.integers(0, 3000))
+positive = st.builds(F, st.integers(1, 500), st.integers(1, 60))
+
+
+@settings(deadline=None)
+@given(at_least_one)
+def test_weight_sequence_matches_subtraction(a):
+    ws = weight_sequence(a)
+    assert ws.weights == reference_weight_sequence(a)
+    assert weight_count(a) == len(ws) == sum(continued_fraction(a))
+    assert quotient_sum(a.numerator, a.denominator) == len(ws)
+    assert quotient_sum(a.denominator, a.numerator) == len(ws)
+
+
+@settings(deadline=None)
+@given(positive, positive)
+def test_ellipsoid_weights_match_subtraction(a, b):
+    small, big = min(a, b), max(a, b)
+    assert ellipsoid_weights(a, b) == tuple(
+        small * w for w in reference_weight_sequence(big / small))
+
