@@ -22,9 +22,9 @@ from fractions import Fraction
 from math import lcm
 
 from . import toric
-from .cremona import PackingVector, ReductionTrace, reduce_vector
+from .cremona import ReductionTrace, _reduce_grid
 from .lattice import BlowupForm, blowup_terms
-from .weights import ellipsoid_weights, quotient_sum
+from .weights import _euclid, quotient_sum
 
 CONSERVATIVE = "conservative"
 OPTIMISTIC = "optimistic"
@@ -128,6 +128,17 @@ class Certificate:
         return self.verdict == "CERTIFIED"
 
 
+def _runs(balls) -> list[tuple[Fraction, int]]:
+    """(capacity, count) of each run of one repeated ball object, in order."""
+    runs: list[list] = []              # [ball object, count]
+    for b in balls:
+        if runs and b is runs[-1][0]:
+            runs[-1][1] += 1
+        else:
+            runs.append([b, 1])
+    return [(Fraction(b), count) for b, count in runs]
+
+
 def certify_packing(t: Target, balls, mode: str = CONSERVATIVE,
                     precision: int | None = None) -> Certificate:
     """Certify that the given open balls pack the target.
@@ -136,13 +147,7 @@ def certify_packing(t: Target, balls, mode: str = CONSERVATIVE,
     volume obstruction (non-strict) holds; every failed check is listed.
     """
     _check_mode(mode)
-    runs: list[list] = []              # [ball object, count]
-    for b in balls:
-        if runs and b is runs[-1][0]:
-            runs[-1][1] += 1
-        else:
-            runs.append([b, 1])
-    runs = [(Fraction(b), count) for b, count in runs]
+    runs = _runs(balls)
     if any(c <= 0 for c, _ in runs):
         raise ValueError("ball capacities must be > 0")
     threshold = lambda_bound(t, mode, precision)
@@ -169,19 +174,29 @@ def decide_balls_into_ellipsoid(a, balls) -> ReductionTrace:
     """Exact decision for packing open balls into E(1,a), a > 1 rational.
 
     Appends the balls to the weight expansion of the complementary
-    ellipsoid E(a-1,a) in P^2(a), normalizes, and runs the Cremona
+    ellipsoid E(a-1,a) in P^2(a), normalizes by a, and runs the Cremona
     reduction.  The trace's verdict is the answer.
+
+    The normalized vector is built on its integer grid.  With a = n/q and
+    L the lcm of the ball denominators, it is (1; w/a, b/a) over d = n*L:
+    a weight y/q of E(a-1,a), from Euclid on (n, n-q), is y*L, and a ball
+    b is b*q*L.  Zero balls are left out.
     """
     a = Fraction(a)
     if a <= 1:
         raise ValueError(f"need a > 1, got {a}")
-    complement = ellipsoid_weights(a - 1, a)
-    capacities = tuple(Fraction(b) for b in balls)
-    if any(b < 0 for b in capacities):
+    runs = _runs(balls)
+    if any(b < 0 for b, _ in runs):
         raise ValueError("ball capacities must be >= 0")
-    entries = tuple(w / a for w in complement) + tuple(
-        b / a for b in capacities if b > 0)
-    return reduce_vector(PackingVector(Fraction(1), entries))
+    n, q = a.numerator, a.denominator
+    scale = lcm(*(b.denominator for b, _ in runs))
+    lams: list[int] = []
+    for count, y in _euclid(n, n - q):
+        lams += [y * scale] * count
+    for b, count in runs:
+        if b > 0:
+            lams += [b.numerator * q * (scale // b.denominator)] * count
+    return _reduce_grid(n * scale, n * scale, lams, False)
 
 
 # --- hypotheses of the curve-directed isotopy lemma -----------------------

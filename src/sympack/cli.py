@@ -28,8 +28,18 @@ DECIMAL_DIGITS = 12
 MAX_BALLS = 10 ** 6             # balls a ball list may hold, repetitions included
 
 
-def _fmt(x) -> str:
-    return format_rational(Fraction(x))
+_fmt = format_rational
+
+
+def _fmt_all(xs) -> list[str]:
+    """``_fmt`` of each entry, formatting a run of one object only once."""
+    texts: list[str] = []
+    last, text = object(), ""
+    for x in xs:
+        if x is not last:
+            last, text = x, _fmt(x)
+        texts.append(text)
+    return texts
 
 
 def _bound_json(value: Fraction, precision: int) -> dict:
@@ -74,7 +84,7 @@ def parse_ball_list(text: str) -> list[Fraction]:
 def _trace_json(trace: cremona.ReductionTrace) -> dict:
     def vec(v):
         return {"mu": _fmt(v.mu),
-                "lambdas": [_fmt(l) for l in v.lambdas if l != 0]}
+                "lambdas": _fmt_all(l for l in v.lambdas if l)}
 
     return {
         "verdict": trace.verdict,
@@ -118,7 +128,7 @@ def cmd_dstar(args):
 def _decision(args, key: str, value: Fraction, balls,
               trace: cremona.ReductionTrace):
     """Payload and exit code shared by the two Cremona decisions."""
-    payload = {key: _fmt(value), "balls": [_fmt(b) for b in balls],
+    payload = {key: _fmt(value), "balls": _fmt_all(balls),
                "verdict": trace.verdict, "reason": trace.reason}
     if args.trace:
         payload["trace"] = _trace_json(trace)
@@ -166,7 +176,7 @@ def cmd_certify(args):
         "target": str(cert.target),
         "mode": cert.mode,
         "lambda_threshold": _bound_json(cert.lambda_threshold, args.precision),
-        "balls": [_fmt(b) for b in cert.balls],
+        "balls": _fmt_all(cert.balls),
         "ball_checks": [chk.below_threshold for chk in cert.checks],
         "volume_slack": _fmt(cert.volume_slack),
         "verdict": cert.verdict,

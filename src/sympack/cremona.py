@@ -25,8 +25,13 @@ failed volume check always ends in a rejection.  The yes/no callers
 with no moves, when it fails.  ``reduce_vector`` still runs the moves, so
 that its trace and reason are those of the full reduction.
 
-Traces.  ``reduce_vector`` turns the integer states back into
-``ReductionStep`` and ``PackingVector`` objects once the reduction ends.
+Traces.  A trace is built once, from the integer states, after the
+reduction ends (``_reduce_grid``, the entry ``reduce_vector`` and the
+ellipsoid decision share).  Within one trace each distinct grid integer x
+becomes a single ``Fraction(x, d)``, shared by every vector that holds it,
+and a move's ``after`` vector reuses the untouched tail of its ``before``.
+The entries are in lowest terms and normalized as the input was, so the
+trace is the same as one computed on ``Fraction``s throughout.
 """
 
 from __future__ import annotations
@@ -52,9 +57,13 @@ class PackingVector:
     lambdas: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", Fraction(self.mu))
-        object.__setattr__(self, "lambdas",
-                           tuple(Fraction(l) for l in self.lambdas))
+        # entries that already are exact Fractions are kept as they are
+        if type(self.mu) is not Fraction:
+            object.__setattr__(self, "mu", Fraction(self.mu))
+        lams = self.lambdas
+        if type(lams) is not tuple or not {*map(type, lams)} <= {Fraction}:
+            object.__setattr__(self, "lambdas", tuple(
+                l if type(l) is Fraction else Fraction(l) for l in lams))
 
     def sorted_padded(self) -> "PackingVector":
         lams = sorted(self.lambdas, reverse=True)
@@ -96,10 +105,6 @@ class ReductionTrace:
     @property
     def terminal(self) -> PackingVector:
         return self.steps[-1].after if self.steps else None
-
-
-def _vector(mu: int, lams, d: int) -> PackingVector:
-    return PackingVector(Fraction(mu, d), tuple(Fraction(l, d) for l in lams))
 
 
 def _to_grid(mu: Fraction, lams) -> tuple[int, int, list[int]]:
@@ -158,26 +163,50 @@ def cremona_step(v: PackingVector) -> PackingVector:
     return PackingVector(v.mu + delta, new)
 
 
+class _GridFractions(dict):
+    """Fraction(x, d) of each grid integer x, built on its first lookup."""
+
+    def __init__(self, d: int):
+        super().__init__()
+        self.d = d
+
+    def __missing__(self, x: int) -> Fraction:
+        value = self[x] = Fraction(x, self.d)
+        return value
+
+
+def _reduce_grid(d: int, mu: int, lams: list[int],
+                 strict_volume: bool) -> ReductionTrace:
+    """The reduction of (mu; lams)/d as a trace: moves first, then the steps.
+
+    Each distinct integer of the trace becomes one ``Fraction(x, d)``.
+    """
+    vol_ok = _volume_ok(mu, lams, strict_volume)
+    reason, states = _run_moves(mu, lams)
+    if reason is None and not vol_ok:
+        reason = REASON_VOLUME
+    frac = _GridFractions(d)
+    steps = []
+    for state in states:
+        before = PackingVector(frac[state[0]],
+                               tuple(map(frac.__getitem__, state[1:])))
+        m, a, b, c = state[:4]
+        delta = m - a - b - c
+        after = before if delta >= 0 else PackingVector(
+            frac[m + delta], (frac[a + delta], frac[b + delta],
+                              frac[c + delta], *before.lambdas[3:]))
+        steps.append(ReductionStep(before, frac[delta], after))
+    return ReductionTrace(steps, "accepted" if reason is None else "rejected",
+                          reason, vol_ok)
+
+
 def reduce_vector(v: PackingVector, strict_volume: bool = False) -> ReductionTrace:
     """Iterate Cremona moves to a verdict; total and always terminating.
 
     The moves run even when the volume check fails, so the trace and the
     reason are those of the full reduction.
     """
-    d, mu, lams = _to_grid(v.mu, v.lambdas)
-    vol_ok = _volume_ok(mu, lams, strict_volume)
-    reason, states = _run_moves(mu, lams)
-    if reason is None and not vol_ok:
-        reason = REASON_VOLUME
-    steps = []
-    for m, *ls in states:
-        before = _vector(m, ls, d)
-        delta = m - ls[0] - ls[1] - ls[2]
-        after = before if delta >= 0 else _vector(
-            m + delta, [l + delta for l in ls[:3]] + ls[3:], d)
-        steps.append(ReductionStep(before, Fraction(delta, d), after))
-    return ReductionTrace(steps, "accepted" if reason is None else "rejected",
-                          reason, vol_ok)
+    return _reduce_grid(*_to_grid(v.mu, v.lambdas), strict_volume)
 
 
 def decide_ball_packing(mu, lambdas, strict_volume: bool = False) -> bool:

@@ -79,8 +79,10 @@ def parse_rational(text: str) -> Fraction:
     return value
 
 
-def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
+def format_rational(x) -> str:
+    """'p/q', or 'p' for an integer; only a non-Fraction is converted."""
+    if type(x) is not Fraction:
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -10,6 +10,7 @@ from sympack import certifier, planner, toric
 from sympack.cremona import REASON_MU_EXHAUSTED, REASON_NEGATIVE, REASON_VOLUME
 from sympack.lattice import BlowupForm
 from sympack.rationals import sqrt_upper
+from sympack.weights import ellipsoid_weights
 
 
 def rand_fraction(rng: random.Random, lo: Fraction, hi: Fraction,
@@ -55,6 +56,19 @@ def reference_reduce(mu, lambdas, strict_volume: bool = False):
         if mu <= 0 and any(l > 0 for l in after):
             return "rejected", REASON_MU_EXHAUSTED, vol_ok, steps
         lams = sorted(after, reverse=True)
+
+
+def reference_decide_ellipsoid(a, balls):
+    """``certifier.decide_balls_into_ellipsoid`` written plainly on Fractions.
+
+    The weights of E(a-1, a) and the positive balls, each divided by a, are
+    reduced by ``reference_reduce``, whose tuple is returned.
+    """
+    a = Fraction(a)
+    capacities = [Fraction(b) for b in balls]
+    entries = ([w / a for w in ellipsoid_weights(a - 1, a)]
+               + [b / a for b in capacities if b > 0])
+    return reference_reduce(1, entries)
 
 
 def reference_blowup_bound(kappa_sq, p, precision=None) -> Fraction:

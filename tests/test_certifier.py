@@ -19,7 +19,8 @@ from sympack.lattice import BlowupForm, d_omega_bound
 from sympack.weights import ellipsoid_weights
 
 from helpers import (rand_fraction, rand_pseudo_ball,
-                     reference_certify_packing, reference_lambda_bound)
+                     reference_certify_packing, reference_decide_ellipsoid,
+                     reference_lambda_bound)
 
 F = Fraction
 
@@ -247,8 +248,46 @@ def test_decide_overfull_rejected():
 
 
 def test_decide_requires_a_above_one():
-    with pytest.raises(ValueError):
-        decide_balls_into_ellipsoid(1, [F(1, 2)])
+    for a in (1, F(9, 10), 0, -2, "1"):
+        with pytest.raises(ValueError):
+            decide_balls_into_ellipsoid(a, [F(1, 2)])
+
+
+def test_decide_rejects_negative_ball():
+    for balls in ([F(1, 2), F(-1, 3)], [-1], ["-1/2", 0]):
+        with pytest.raises(ValueError):
+            decide_balls_into_ellipsoid(F(5, 2), balls)
+
+
+# balls as the CLI and callers pass them: zeros, ints, strs and Fractions,
+# each drawn as a run of one repeated object
+_balls = st.one_of(st.integers(0, 3),
+                   st.builds(F, st.integers(0, 40), st.integers(1, 12)),
+                   st.builds("{}/{}".format, st.integers(0, 40),
+                             st.integers(1, 12)))
+_ball_lists = st.lists(st.tuples(_balls, st.integers(1, 4)), max_size=6).map(
+    lambda runs: [b for ball, count in runs for b in [ball] * count])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(lambda n, q: 1 + F(n, q), st.integers(1, 60),
+                 st.integers(1, 12)),
+       _ball_lists)
+def test_decide_ellipsoid_matches_fraction_reference(a, balls):
+    trace = decide_balls_into_ellipsoid(a, balls)
+    verdict, reason, vol_ok, steps = reference_decide_ellipsoid(a, balls)
+    assert (trace.verdict, trace.reason, trace.volume_ok) == (verdict, reason,
+                                                              vol_ok)
+    assert [(s.before.mu, s.before.lambdas, s.defect, s.after.mu,
+             s.after.lambdas) for s in trace.steps] == steps
+
+
+def test_decide_ellipsoid_many_balls_within_budget():
+    balls = [F(1, 1000)] * 10 ** 5
+    started = time.perf_counter()
+    trace = decide_balls_into_ellipsoid(2, balls)
+    assert time.perf_counter() - started < 0.5
+    assert trace.accepted
 
 
 def test_target_volume():

@@ -136,6 +136,21 @@ def test_ellipsoid_decide(capsys):
     assert code == 1
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["decide", "--mu", "1", "--balls", "2/5x5", "--trace"],
+     "decide_trace.txt"),
+    (["ellipsoid-decide", "-a", "5/2", "--balls", "1,1,1/2,1/2", "--trace"],
+     "ellipsoid_decide_trace.txt"),
+])
+def test_trace_output_is_pinned(capsys, argv, golden):
+    code, out = capture(capsys, argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_global_flags_both_positions(capsys):
     code_a, out_a = capture(capsys, ["--json", "weights", "5/2"])
     code_b, out_b = capture(capsys, ["weights", "5/2", "--json"])

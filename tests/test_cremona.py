@@ -184,6 +184,29 @@ def test_decide_agrees_with_trace_on_volume_failures():
     assert failures > 50
 
 
+def test_packing_vector_normalizes_entries():
+    class Sub(F):
+        pass
+
+    v = PackingVector(2, [1, "1/2", True, F(1, 3), Sub(3, 4)])
+    assert type(v.lambdas) is tuple
+    assert v.lambdas == (1, F(1, 2), 1, F(1, 3), F(3, 4))
+    assert all(type(x) is F for x in (v.mu, *v.lambdas))
+    assert PackingVector("3/2", ()).mu == F(3, 2)
+    assert type(PackingVector(Sub(3, 2), ()).mu) is F
+    # entries that are Fractions already are kept, not copied
+    lams = (F(1, 2), F(1, 3))
+    assert PackingVector(F(1), lams).lambdas is lams
+
+
+def test_reduce_many_balls_within_budget():
+    v = vec(1000, *([F(1, 1000)] * 10 ** 5))
+    started = time.perf_counter()
+    trace = reduce_vector(v)
+    assert time.perf_counter() - started < 0.25
+    assert trace.accepted
+
+
 def test_max_equal_ball_nine_is_fast():
     started = time.perf_counter()
     tol = F(1, 10 ** 9)
