@@ -2,9 +2,9 @@
 
 from .cremona import (PackingVector, ReductionTrace, cremona_step,
                       decide_ball_packing, max_equal_ball, reduce_vector)
-from .certifier import (Certificate, certify_packing,
-                        decide_balls_into_ellipsoid, check_directed_hypotheses,
-                        lambda_bound)
+from .certifier import (Certificate, certify_packing, complement,
+                        decide_balls_into_ellipsoid, decide_packing,
+                        check_directed_hypotheses, lambda_bound)
 from .lattice import (BlowupForm, HomologyClass, blowup_bound,
                       class_invariants, d_omega_bound, d_omega_search)
 from .planner import (Curve, DiscAllocation, Polarization, basin_of_cross,
@@ -14,7 +14,7 @@ from .planner import (Curve, DiscAllocation, Polarization, basin_of_cross,
 from .rationals import parse_rational, format_rational, rational_below
 from .toric import (Ball, Ellipsoid, MomentPolytope, ProjectivePlane,
                     PseudoBall, moment_polytope, parse_domain, polytope_area,
-                    pseudo_ball_complement, validate_pseudo_ball, volume)
+                    validate_pseudo_ball, volume)
 from .weights import ellipsoid_weights, weight_count, weight_sequence
 
 __version__ = "0.1.0"

@@ -1,18 +1,22 @@
-"""Certified packing-stability thresholds and packing certificates.
+"""Certified stability thresholds, certificates and exact packing decisions.
 
-The threshold of a target is obtained by excising it from a projective
-plane, expanding the complement into balls, and applying the blow-up
-bound; the result is a certified lower bound for the capacity below which
-every volume-admissible ball collection embeds.  Certificates are
-one-sided: NOT_CERTIFIED draws no conclusion.  For targets that reduce to
-the plane, the Cremona oracle gives the exact decision.
+Every target is a projective plane with balls cut out: ``complement(t)``
+says, on integers, that t is P^2(mu/d) minus ``count`` balls of capacity
+w/d for each run (count, w).  A blow-up of P^2(1) cuts out its balls; a
+ball B(c) is P^2(c) with nothing cut out; E(a,b) is P^2(max) minus the
+weights of E(max - min, max) (McDuff-Schlenk, arXiv:0912.0532); and
+T(a,b,alpha,beta) is P^2(alpha+beta) minus the weights of
+E(alpha+beta-a, alpha) and E(alpha+beta-b, beta) (Cristofaro-Gardiner,
+arXiv:1409.4378).  Weights come as the runs of Euclid's algorithm, so an
+ellipsoid costs O(log) runs and is never expanded.  From that one map the
+threshold (``lambda_bound``) is the blow-up bound of the complement, a
+certified lower bound for the capacity below which every volume-admissible
+ball collection embeds, and the exact decision (``decide_packing``) is the
+Cremona reduction of (mu; complement + balls).
 
-Both are computed on integers.  A threshold takes kappa^2 and p of the
-complement from Euclid on numerators and denominators and is normalized
-once.  A certificate works on runs of one repeated ball object, as ``xN``
-and ``[c] * k`` produce them: each run is converted and checked once, and
-its volume enters as count * c^2.  The certificate still lists one
-capacity, one check and one reason per ball, in order.
+Certificates are one-sided: NOT_CERTIFIED draws no conclusion.  They work
+on runs of one repeated ball object, as ``xN`` and ``[c] * k`` produce
+them: each run is converted and checked once.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from fractions import Fraction
 from math import lcm
 
 from . import toric
-from .cremona import ReductionTrace, _reduce_grid
+from .cremona import ReductionTrace, _reduce_grid, _runs, _to_grid
 from .lattice import BlowupForm, blowup_terms
-from .weights import _euclid, quotient_sum
+from .weights import _euclid
 
 CONSERVATIVE = "conservative"
 OPTIMISTIC = "optimistic"
@@ -48,13 +52,38 @@ def _check_mode(mode: str):
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
-def _ellipsoid_terms(n: int, d: int) -> tuple[int, int, int]:
-    """(kappa^2 numerator, denominator, p) for c = n/d > 1 in lowest terms.
+def complement(t: Target) -> tuple[int, int, list[tuple[int, int]]]:
+    """(d, mu, runs): t is P^2(mu/d) minus ``count`` balls of capacity w/d
+    for each run (count, w); (mu^2 - sum count w^2) / (2 d^2) = vol(t)."""
+    if isinstance(t, BlowupForm):
+        d = lcm(*{l.denominator for l in t.lambdas})
+        return d, d, [(1, l.numerator * (d // l.denominator))
+                      for l in t.lambdas]
+    if isinstance(t, toric.Ball):
+        return t.capacity.denominator, t.capacity.numerator, []
+    if isinstance(t, toric.Ellipsoid):
+        d, a, (b,) = _to_grid(t.a, (t.b,))
+        mu = max(a, b)
+        return d, mu, _weight_runs(mu, mu - min(a, b))
+    if isinstance(t, toric.PseudoBall):
+        d, a, (b, alpha, beta) = _to_grid(t.a, (t.b, t.alpha, t.beta))
+        mu = alpha + beta
+        return d, mu, _weight_runs(alpha, mu - a) + _weight_runs(beta, mu - b)
+    raise TypeError(f"unsupported target {t!r}")
 
-    The complement of E(1,c) in P^2(c) is E(c-1, c): kappa^2 = (c-1)/c =
-    (n-d)/n, already in lowest terms, and p counts the weights of (n-d, n).
-    """
-    return n - d, n, quotient_sum(n, n - d)
+
+def _weight_runs(x: int, y: int) -> list[tuple[int, int]]:
+    """(count, w) runs of the weights of E(x, y); none when y = 0."""
+    return list(_euclid(max(x, y), min(x, y)))
+
+
+def _kappa_terms(runs) -> tuple[int, int]:
+    """(sum count w^2, sum count) of the runs: kappa^2 mu^2 and p."""
+    squares = p = 0
+    for count, w in runs:
+        squares += count * w * w
+        p += count
+    return squares, p
 
 
 def ellipsoid_bound_parts(c: Fraction) -> tuple[Fraction, int]:
@@ -62,48 +91,25 @@ def ellipsoid_bound_parts(c: Fraction) -> tuple[Fraction, int]:
     c = Fraction(c)
     if c <= 1:
         raise ValueError(f"need c > 1, got {c}")
-    kappa_num, kappa_den, p = _ellipsoid_terms(c.numerator, c.denominator)
-    return Fraction(kappa_num, kappa_den), p
+    _, mu, runs = complement(toric.Ellipsoid(1, c))
+    squares, p = _kappa_terms(runs)
+    return Fraction(squares, mu * mu), p
 
 
 def lambda_bound(t: Target, mode: str = CONSERVATIVE,
                  precision: int | None = None) -> Fraction:
     """Certified lower bound for the stability threshold of the target.
 
-    Conservative mode halves the bound obtained from the complement
-    construction; optimistic mode reports it in full.  Scales linearly
-    with the target.
+    The blow-up bound of the complement, scaled by mu/d: optimistic mode
+    reports it in full, conservative mode halves it.  Scales linearly with
+    the target.
     """
     _check_mode(mode)
     halve = 2 if mode == CONSERVATIVE else 1
-    if isinstance(t, BlowupForm):
-        scale, scale_den = 1, 1
-        kappa_num, kappa_den, p = (t.kappa_sq.numerator,
-                                   t.kappa_sq.denominator, t.p)
-    elif isinstance(t, toric.Ball):
-        return t.capacity / (3 * halve)
-    elif isinstance(t, toric.Ellipsoid):
-        big = max(t.a, t.b)
-        c = big / min(t.a, t.b)
-        if c == 1:
-            return big / (3 * halve)
-        scale, scale_den = big.numerator, big.denominator
-        kappa_num, kappa_den, p = _ellipsoid_terms(c.numerator, c.denominator)
-    elif isinstance(t, toric.PseudoBall):
-        # on the common denominator: P^2(mu) minus E(mu-a, alpha), E(mu-b, beta)
-        d = lcm(t.a.denominator, t.b.denominator,
-                t.alpha.denominator, t.beta.denominator)
-        a, b, alpha, beta = (x.numerator * (d // x.denominator)
-                             for x in (t.a, t.b, t.alpha, t.beta))
-        mu = alpha + beta
-        scale, scale_den = mu, d
-        kappa_num = (mu - a) * alpha + (mu - b) * beta
-        kappa_den = mu * mu
-        p = quotient_sum(mu - a, alpha) + quotient_sum(mu - b, beta)
-    else:
-        raise TypeError(f"unsupported target {t!r}")
-    num, den = blowup_terms(kappa_num, kappa_den, p, precision)
-    return Fraction(scale * num, scale_den * den * halve)
+    d, mu, runs = complement(t)
+    squares, p = _kappa_terms(runs)
+    num, den = blowup_terms(squares, mu * mu, p, precision)
+    return Fraction(mu * num, d * den * halve)
 
 
 @dataclass(frozen=True)
@@ -126,17 +132,6 @@ class Certificate:
     @property
     def certified(self) -> bool:
         return self.verdict == "CERTIFIED"
-
-
-def _runs(balls) -> list[tuple[Fraction, int]]:
-    """(capacity, count) of each run of one repeated ball object, in order."""
-    runs: list[list] = []              # [ball object, count]
-    for b in balls:
-        if runs and b is runs[-1][0]:
-            runs[-1][1] += 1
-        else:
-            runs.append([b, 1])
-    return [(Fraction(b), count) for b, count in runs]
 
 
 def certify_packing(t: Target, balls, mode: str = CONSERVATIVE,
@@ -170,33 +165,35 @@ def certify_packing(t: Target, balls, mode: str = CONSERVATIVE,
                        slack, verdict, tuple(reasons))
 
 
-def decide_balls_into_ellipsoid(a, balls) -> ReductionTrace:
-    """Exact decision for packing open balls into E(1,a), a > 1 rational.
+def decide_packing(t: Target, balls) -> ReductionTrace:
+    """Exact decision for packing open balls into the target.
 
-    Appends the balls to the weight expansion of the complementary
-    ellipsoid E(a-1,a) in P^2(a), normalizes by a, and runs the Cremona
-    reduction.  The trace's verdict is the answer.
-
-    The normalized vector is built on its integer grid.  With a = n/q and
-    L the lcm of the ball denominators, it is (1; w/a, b/a) over d = n*L:
-    a weight y/q of E(a-1,a), from Euclid on (n, n-q), is y*L, and a ball
-    b is b*q*L.  Zero balls are left out.
+    The balls join the complement's in P^2(mu/d), everything is normalized
+    by mu/d, and the Cremona reduction runs; the trace's verdict is the
+    answer.  On the grid d' = mu L, with L the lcm of the ball
+    denominators, a complement ball w is w L and a ball b is b d L.  Zero
+    balls are left out.
     """
+    d, mu, runs = complement(t)
+    ball_runs = _runs(balls)
+    if any(b < 0 for b, _ in ball_runs):
+        raise ValueError("ball capacities must be >= 0")
+    scale = lcm(*(b.denominator for b, _ in ball_runs))
+    lams: list[int] = []
+    for count, w in runs:
+        lams += [w * scale] * count
+    for b, count in ball_runs:
+        if b > 0:
+            lams += [b.numerator * d * (scale // b.denominator)] * count
+    return _reduce_grid(mu * scale, mu * scale, lams, False)
+
+
+def decide_balls_into_ellipsoid(a, balls) -> ReductionTrace:
+    """Exact decision for packing open balls into E(1,a), a > 1 rational."""
     a = Fraction(a)
     if a <= 1:
         raise ValueError(f"need a > 1, got {a}")
-    runs = _runs(balls)
-    if any(b < 0 for b, _ in runs):
-        raise ValueError("ball capacities must be >= 0")
-    n, q = a.numerator, a.denominator
-    scale = lcm(*(b.denominator for b, _ in runs))
-    lams: list[int] = []
-    for count, y in _euclid(n, n - q):
-        lams += [y * scale] * count
-    for b, count in runs:
-        if b > 0:
-            lams += [b.numerator * q * (scale // b.denominator)] * count
-    return _reduce_grid(n * scale, n * scale, lams, False)
+    return decide_packing(toric.Ellipsoid(1, a), balls)
 
 
 # --- hypotheses of the curve-directed isotopy lemma -----------------------

@@ -150,6 +150,8 @@ def cmd_ellipsoid_decide(args):
 
 
 def cmd_max_equal_ball(args):
+    if args.n > MAX_BALLS:
+        raise ValueError(f"--n must be at most {MAX_BALLS}, got {args.n}")
     tol = parse_rational(args.tol)
     value = cremona.max_equal_ball(args.n, tol)
     return {"n": args.n, "tol": _fmt(tol), "capacity": _fmt(value),

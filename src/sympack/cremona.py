@@ -26,12 +26,12 @@ with no moves, when it fails.  ``reduce_vector`` still runs the moves, so
 that its trace and reason are those of the full reduction.
 
 Traces.  A trace is built once, from the integer states, after the
-reduction ends (``_reduce_grid``, the entry ``reduce_vector`` and the
-ellipsoid decision share).  Within one trace each distinct grid integer x
-becomes a single ``Fraction(x, d)``, shared by every vector that holds it,
-and a move's ``after`` vector reuses the untouched tail of its ``before``.
-The entries are in lowest terms and normalized as the input was, so the
-trace is the same as one computed on ``Fraction``s throughout.
+reduction ends (``_reduce_grid``, which ``reduce_vector`` and
+``certifier.decide_packing`` share).  Within one trace each distinct grid
+integer x becomes a single ``Fraction(x, d)``, shared by every vector that
+holds it, and a move's ``after`` vector reuses the untouched tail of its
+``before``.  The entries are in lowest terms and normalized as the input
+was, so the trace is the same as one computed on ``Fraction``s throughout.
 """
 
 from __future__ import annotations
@@ -209,19 +209,35 @@ def reduce_vector(v: PackingVector, strict_volume: bool = False) -> ReductionTra
     return _reduce_grid(*_to_grid(v.mu, v.lambdas), strict_volume)
 
 
+def _runs(balls) -> list[tuple[Fraction, int]]:
+    """(capacity, count) of each run of one repeated ball object, in order."""
+    runs: list[list] = []              # [ball object, count]
+    for b in balls:
+        if runs and b is runs[-1][0]:
+            runs[-1][1] += 1
+        else:
+            runs.append([b, 1])
+    return [(Fraction(b), count) for b, count in runs]
+
+
 def decide_ball_packing(mu, lambdas, strict_volume: bool = False) -> bool:
     """True iff open balls of the given capacities pack P^2(mu).
 
     Scale-invariant: decide(c*mu, c*lambdas) = decide(mu, lambdas).
-    A failed volume check rejects at once, with no moves.
+    A failed volume check rejects at once, with no moves.  Each run of one
+    repeated ball object is converted and checked once.
     """
     mu = Fraction(mu)
     if mu <= 0:
         raise ValueError(f"mu = {mu} must be > 0")
-    lams = tuple(Fraction(l) for l in lambdas)
-    if any(l < 0 for l in lams):
+    runs = _runs(lambdas)
+    if any(l < 0 for l, _ in runs):
         raise ValueError("ball capacities must be >= 0")
-    _, mu, lams = _to_grid(mu, [l for l in lams if l > 0])
+    _, mu, grid = _to_grid(mu, [l for l, _ in runs])
+    lams: list[int] = []
+    for x, (_, count) in zip(grid, runs):
+        if x:
+            lams += [x] * count
     if not _volume_ok(mu, lams, strict_volume):
         return False
     return _run_moves(mu, lams)[0] is None

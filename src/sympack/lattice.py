@@ -93,10 +93,14 @@ class BlowupForm:
     lambdas: tuple[Fraction, ...]
 
     def __post_init__(self):
-        lams = tuple(Fraction(l) for l in self.lambdas)
-        object.__setattr__(self, "lambdas", lams)
+        # entries that already are exact Fractions are kept as they are
+        lams = self.lambdas
+        if type(lams) is not tuple or not {*map(type, lams)} <= {Fraction}:
+            lams = tuple(l if type(l) is Fraction else Fraction(l)
+                         for l in lams)
+            object.__setattr__(self, "lambdas", lams)
         for l in lams:
-            if not 0 < l < 1:
+            if not 0 < l.numerator < l.denominator:
                 raise InfeasibleFormError(f"blow-up size {l} outside (0,1)")
         if self.kappa_sq >= 1:
             raise InfeasibleFormError(

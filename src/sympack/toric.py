@@ -191,20 +191,6 @@ def volume(d: ToricDomain) -> Fraction:
     raise DomainError(f"not a toric domain: {d!r}")
 
 
-def pseudo_ball_complement(a, b, alpha, beta):
-    """Split P^2(alpha+beta) as T(a,b,alpha,beta) plus two toric ellipsoids.
-
-    Returns (scale, E, E') with scale = alpha+beta, E = E(alpha+beta-a, alpha)
-    and E' = E(alpha+beta-b, beta).  The volume identity
-    vol(P^2) - vol(E) - vol(E') = vol(T) holds exactly.
-    """
-    t = PseudoBall(a, b, alpha, beta)
-    mu = t.alpha + t.beta
-    e = Ellipsoid(mu - t.a, t.alpha)
-    e_prime = Ellipsoid(mu - t.b, t.beta)
-    return mu, e, e_prime
-
-
 _DOMAIN_RE = re.compile(r"^\s*(B|E|T|P2)\s*\(([^()]*)\)\s*$")
 
 

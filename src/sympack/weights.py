@@ -67,14 +67,6 @@ def _euclid_weights(x: int, y: int, scale: int) -> tuple[Fraction, ...]:
     return tuple(weights)
 
 
-def quotient_sum(x: int, y: int) -> int:
-    """Sum of the partial quotients of x/y for positive integers x, y.
-
-    This is the number of weights of E(x, y), in either order of x and y.
-    """
-    return sum(q for q, _ in _euclid(x, y))
-
-
 def weight_sequence(a) -> WeightSequence:
     """Weights of E(1,a) by Euclidean subtraction; deterministic and exact."""
     a = _check_normalized(a)

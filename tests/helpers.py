@@ -58,17 +58,33 @@ def reference_reduce(mu, lambdas, strict_volume: bool = False):
         lams = sorted(after, reverse=True)
 
 
-def reference_decide_ellipsoid(a, balls):
-    """``certifier.decide_balls_into_ellipsoid`` written plainly on Fractions.
+def reference_decide(t, balls):
+    """``certifier.decide_packing`` written plainly on Fractions.
 
-    The weights of E(a-1, a) and the positive balls, each divided by a, are
-    reduced by ``reference_reduce``, whose tuple is returned.
+    The target is P^2(mu) minus the balls of its complement: the weights of
+    one or two ellipsoids from ``ellipsoid_weights``, or the blown-up balls.
+    Those and the positive balls, each divided by mu, are reduced by
+    ``reference_reduce``, whose tuple is returned.
     """
-    a = Fraction(a)
+    if isinstance(t, BlowupForm):
+        mu, cut = Fraction(1), t.lambdas
+    elif isinstance(t, toric.Ball):
+        mu, cut = t.capacity, ()
+    elif isinstance(t, toric.Ellipsoid):
+        mu, small = max(t.a, t.b), min(t.a, t.b)
+        cut = ellipsoid_weights(mu - small, mu) if small < mu else ()
+    else:
+        mu = t.alpha + t.beta
+        cut = (ellipsoid_weights(mu - t.a, t.alpha)
+               + ellipsoid_weights(mu - t.b, t.beta))
     capacities = [Fraction(b) for b in balls]
-    entries = ([w / a for w in ellipsoid_weights(a - 1, a)]
-               + [b / a for b in capacities if b > 0])
+    entries = [w / mu for w in cut] + [b / mu for b in capacities if b > 0]
     return reference_reduce(1, entries)
+
+
+def reference_decide_ellipsoid(a, balls):
+    """``certifier.decide_balls_into_ellipsoid``: the decision for E(1, a)."""
+    return reference_decide(toric.Ellipsoid(1, a), balls)
 
 
 def reference_blowup_bound(kappa_sq, p, precision=None) -> Fraction:

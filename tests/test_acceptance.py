@@ -10,18 +10,20 @@ from fractions import Fraction
 
 from sympack import certifier, planner, toric
 from sympack.certifier import (CONSERVATIVE, certify_packing,
-                               decide_balls_into_ellipsoid, lambda_bound)
+                               decide_balls_into_ellipsoid, decide_packing,
+                               lambda_bound)
 from sympack.cremona import decide_ball_packing, max_equal_ball
 from sympack.lattice import BlowupForm, d_omega_bound, d_omega_search
 from sympack.rationals import rational_below
 from sympack.weights import continued_fraction, weight_count, weight_sequence
 
-from helpers import classify_by_flow, point_polygon_distance
+from helpers import (classify_by_flow, point_polygon_distance,
+                     rand_fraction, rand_pseudo_ball)
 
 F = Fraction
 
 
-def report(n: int, text: str, started: float, budget: float):
+def report(n: int | str, text: str, started: float, budget: float):
     elapsed = time.perf_counter() - started
     assert elapsed < budget, f"criterion {n} over budget: {elapsed:.1f}s"
     print(f"PASS criterion {n}: {text} ({elapsed:.1f}s)")
@@ -109,6 +111,34 @@ def test_criterion_4_certifier_soundness():
         checked += 1
     report(4, "10^4 CERTIFIED instances all accepted by the Cremona oracle",
            started, 120.0)
+
+
+def test_criterion_4b_ball_and_pseudo_ball_soundness():
+    # criterion 4's draws on the targets it leaves out, against the exact
+    # decision of balls into each target's complement
+    started = time.perf_counter()
+    rng = random.Random(4044)
+    checked = 0
+    while checked < 5000:
+        if checked < 3000:
+            target = rand_pseudo_ball(rng)
+            assert decide_packing(target, [min(target.a, target.b)]).accepted
+            over = (target.alpha + target.beta) * F(101, 100)
+            assert not decide_packing(target, [over]).accepted
+        else:
+            target = toric.Ball(rand_fraction(rng, F(1, 100), F(5)))
+        thr = lambda_bound(target, CONSERVATIVE, 64)
+        k = rng.randint(1, 12)
+        cap = rational_below(thr * F(rng.randint(1, 9), 10), 10 ** 6)
+        if cap <= 0:
+            continue
+        cert = certify_packing(target, [cap] * k, CONSERVATIVE, 64)
+        if not cert.certified:
+            continue
+        assert decide_packing(target, [cap] * k).accepted, (target, cap, k)
+        checked += 1
+    report("4b", "3,000 pseudo-ball and 2,000 ball CERTIFIED instances all "
+                 "accepted by the Cremona decision", started, 60.0)
 
 
 def test_criterion_5_full_filling_regressions():

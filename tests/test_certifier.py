@@ -12,15 +12,16 @@ from sympack.certifier import (CONSERVATIVE, OPTIMISTIC, AxisAssignment,
                                CrossAssignment, FreeEllipsoid,
                                InvalidAssignmentError, certify_packing,
                                check_directed_hypotheses,
-                               decide_balls_into_ellipsoid,
+                               decide_balls_into_ellipsoid, decide_packing,
                                ellipsoid_bound_parts, lambda_bound,
                                target_volume)
+from sympack.cremona import PackingVector, reduce_vector
 from sympack.lattice import BlowupForm, d_omega_bound
 from sympack.weights import ellipsoid_weights
 
 from helpers import (rand_fraction, rand_pseudo_ball,
-                     reference_certify_packing, reference_decide_ellipsoid,
-                     reference_lambda_bound)
+                     reference_certify_packing, reference_decide,
+                     reference_decide_ellipsoid, reference_lambda_bound)
 
 F = Fraction
 
@@ -69,10 +70,9 @@ def test_bound_is_the_complement_blowup_bound():
         assert lambda_bound(t, OPTIMISTIC) == big * d_omega_bound(form)
 
         t = rand_pseudo_ball(rng)
-        scale, e, e_prime = toric.pseudo_ball_complement(t.a, t.b, t.alpha,
-                                                         t.beta)
-        weights = ellipsoid_weights(e.a, e.b) + ellipsoid_weights(e_prime.a,
-                                                                  e_prime.b)
+        scale = t.alpha + t.beta
+        weights = (ellipsoid_weights(scale - t.a, t.alpha)
+                   + ellipsoid_weights(scale - t.b, t.beta))
         form = BlowupForm(tuple(w / scale for w in weights))
         assert lambda_bound(t, OPTIMISTIC) == scale * d_omega_bound(form)
 
@@ -280,6 +280,34 @@ def test_decide_ellipsoid_matches_fraction_reference(a, balls):
                                                               vol_ok)
     assert [(s.before.mu, s.before.lambdas, s.defect, s.after.mu,
              s.after.lambdas) for s in trace.steps] == steps
+
+
+def _steps(trace):
+    return [(s.before.mu, s.before.lambdas, s.defect, s.after.mu,
+             s.after.lambdas) for s in trace.steps]
+
+
+# every target kind; E(a,b) is drawn with a < b, a = b and a > b
+@settings(max_examples=300, deadline=None)
+@given(targets, _ball_lists)
+def test_decide_packing_matches_reference(t, balls):
+    trace = decide_packing(t, balls)
+    verdict, reason, vol_ok, steps = reference_decide(t, balls)
+    assert (trace.verdict, trace.reason, trace.volume_ok) == (verdict, reason,
+                                                              vol_ok)
+    assert _steps(trace) == steps
+
+
+def test_decide_packing_blowup_is_the_plane_reduction():
+    lams = (F(1, 2), F(1, 3), F(1, 4))
+    balls = [F(1, 5)] * 4 + [F(1, 7)]
+    trace = decide_packing(BlowupForm(lams), balls)
+    assert trace == reduce_vector(PackingVector(1, lams + tuple(balls)))
+
+
+def test_decide_packing_rejects_negative_ball():
+    with pytest.raises(ValueError):
+        decide_packing(toric.Ball(1), [F(1, 2), F(-1, 3)])
 
 
 def test_decide_ellipsoid_many_balls_within_budget():

@@ -100,6 +100,15 @@ def test_max_equal_ball(capsys):
     assert abs(cap - F(2, 5)) <= F(1, 1000000)
 
 
+def test_max_equal_ball_count_limits(capsys):
+    # above the cap of a ball list the balls are never built; below one the
+    # library's ValueError is the message
+    for n in (MAX_BALLS + 1, 0):
+        assert run(["max-equal-ball", "--n", str(n)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sympack: error:") and "Traceback" not in err
+
+
 def test_certify_exit_codes(capsys):
     code, out = capture(capsys, ["certify", "--target", "T(3/2,3/2,1,1)",
                                  "--balls", "19/100x10",

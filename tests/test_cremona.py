@@ -207,6 +207,13 @@ def test_reduce_many_balls_within_budget():
     assert trace.accepted
 
 
+def test_decide_many_balls_within_budget():
+    # one run of 10^6 equal balls is converted and checked once
+    started = time.perf_counter()
+    assert decide_ball_packing(1000, [F(1, 1000)] * 10 ** 6)
+    assert time.perf_counter() - started < 1
+
+
 def test_max_equal_ball_nine_is_fast():
     started = time.perf_counter()
     tol = F(1, 10 ** 9)

@@ -46,6 +46,30 @@ def test_class_invariants_examples():
     assert class_invariants(HomologyClass(1, (1,)), form1) == (0, 2, F(1, 2))
 
 
+def test_form_normalizes_entries_to_fractions():
+    for lams in ([F(1, 2), F(1, 4)], (F(1, 2), "1/4"), ["1/2", "1/4"]):
+        form = BlowupForm(lams)
+        assert type(form.lambdas) is tuple
+        assert all(type(l) is Fraction for l in form.lambdas)
+        assert form.lambdas == (F(1, 2), F(1, 4))
+    lams = (F(1, 3), F(1, 3))
+    assert BlowupForm(lams).lambdas is lams
+
+
+def test_form_rejects_sizes_outside_unit_interval():
+    for bad in (0, 1, -1, F(-1, 2), "0", F(3, 2)):
+        with pytest.raises(InfeasibleFormError):
+            BlowupForm((F(1, 2), bad))
+
+
+def test_form_many_entries_within_budget():
+    lams = (F(1, 1000),) * 10 ** 5
+    started = time.perf_counter()
+    form = BlowupForm(lams)
+    assert time.perf_counter() - started < 0.15
+    assert form.kappa_sq == F(1, 10)
+
+
 def test_class_invariants_length_mismatch():
     with pytest.raises(ValueError):
         class_invariants(HomologyClass(1, (1,)), BlowupForm(()))

@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from sympack import toric
+from sympack.certifier import complement, target_volume
+from sympack.lattice import BlowupForm
 from sympack.toric import (Ball, DomainError, Ellipsoid, InvalidParameterError,
                            MomentPolytope, ProjectivePlane, PseudoBall,
                            PseudoBallViolation, moment_polytope, parse_domain,
-                           polytope_area, pseudo_ball_complement,
-                           validate_pseudo_ball, volume)
+                           polytope_area, validate_pseudo_ball, volume)
 
-from helpers import rand_pseudo_ball
+from helpers import rand_fraction, rand_pseudo_ball
 
 F = Fraction
 
@@ -101,31 +102,42 @@ def test_degenerate_pseudo_ball_rejected():
 
 
 def test_complement_symmetric_example():
-    scale, e, ep = pseudo_ball_complement(F(3, 2), F(3, 2), 1, 1)
-    assert scale == 2
-    assert e == Ellipsoid(F(1, 2), 1)
-    assert ep == Ellipsoid(F(1, 2), 1)
-    assert volume(ProjectivePlane(scale)) - volume(e) - volume(ep) == F(3, 2)
+    # P^2(2) minus E(1/2,1) twice, that is minus four balls of capacity 1/2
+    assert complement(PseudoBall(F(3, 2), F(3, 2), 1, 1)) == (
+        2, 4, [(2, 1), (2, 1)])
 
 
 def test_complement_asymmetric_example():
-    scale, e, ep = pseudo_ball_complement(F(5, 4), F(6, 5), 1, F(1, 2))
-    assert scale == F(3, 2)
-    assert e == Ellipsoid(F(1, 4), 1)
-    assert ep == Ellipsoid(F(3, 10), F(1, 2))
-    lhs = volume(ProjectivePlane(scale)) - volume(e) - volume(ep)
-    assert lhs == F(37, 40)
-    assert lhs == volume(PseudoBall(F(5, 4), F(6, 5), 1, F(1, 2)))
+    # P^2(3/2) minus E(1/4,1) and E(3/10,1/2), over d = 20
+    t = PseudoBall(F(5, 4), F(6, 5), 1, F(1, 2))
+    d, mu, runs = complement(t)
+    assert (d, mu) == (20, 30)
+    assert runs == [(4, 5), (1, 6), (1, 4), (2, 2)]
+    assert F(mu * mu - sum(c * w * w for c, w in runs), 2 * d * d) == F(37, 40)
+    assert volume(t) == F(37, 40)
+
+
+def _rand_target(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rand_pseudo_ball(rng)
+    if kind == 1:
+        return Ellipsoid(rand_fraction(rng, F(1, 10), F(5)),
+                         rand_fraction(rng, F(1, 10), F(5)))
+    if kind == 2:
+        return Ball(rand_fraction(rng, F(1, 10), F(5)))
+    return BlowupForm(tuple(rand_fraction(rng, F(0), F(1, 2))
+                            for _ in range(rng.randint(0, 3))))
 
 
 def test_complement_volume_identity_randomized():
     rng = random.Random(3)
     for _ in range(1000):
-        t = rand_pseudo_ball(rng)
-        scale, e, ep = pseudo_ball_complement(t.a, t.b, t.alpha, t.beta)
-        assert scale == t.alpha + t.beta
-        assert (volume(ProjectivePlane(scale)) - volume(e) - volume(ep)
-                == volume(t))
+        t = _rand_target(rng)
+        d, mu, runs = complement(t)
+        assert all(count > 0 and w > 0 for count, w in runs)
+        assert (F(mu * mu - sum(c * w * w for c, w in runs), 2 * d * d)
+                == target_volume(t))
 
 
 def test_moment_polytope_shapes():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sympack.weights import (WeightError, continued_fraction, ellipsoid_weights,
-                             quotient_sum, weight_count, weight_sequence)
+                             weight_count, weight_sequence)
 
 from helpers import reference_weight_sequence
 
@@ -121,8 +121,6 @@ def test_weight_sequence_matches_subtraction(a):
     ws = weight_sequence(a)
     assert ws.weights == reference_weight_sequence(a)
     assert weight_count(a) == len(ws) == sum(continued_fraction(a))
-    assert quotient_sum(a.numerator, a.denominator) == len(ws)
-    assert quotient_sum(a.denominator, a.numerator) == len(ws)
 
 
 @settings(deadline=None)
