@@ -56,9 +56,8 @@ def complement(t: Target) -> tuple[int, int, list[tuple[int, int]]]:
     """(d, mu, runs): t is P^2(mu/d) minus ``count`` balls of capacity w/d
     for each run (count, w); (mu^2 - sum count w^2) / (2 d^2) = vol(t)."""
     if isinstance(t, BlowupForm):
-        d = lcm(*{l.denominator for l in t.lambdas})
-        return d, d, [(1, l.numerator * (d // l.denominator))
-                      for l in t.lambdas]
+        d, runs = t.grid
+        return d, d, list(runs)
     if isinstance(t, toric.Ball):
         return t.capacity.denominator, t.capacity.numerator, []
     if isinstance(t, toric.Ellipsoid):

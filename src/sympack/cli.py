@@ -262,9 +262,6 @@ def load_polarization(data: dict) -> planner.Polarization:
 def cmd_decompose(args):
     with open(args.polarization) as fh:
         pol = load_polarization(json.load(fh))
-    errors = planner.validate_polarization(pol)
-    if errors:
-        raise planner.PolarizationError("; ".join(errors))
     plan = planner.build_plan(pol, mode=args.mode, precision=args.precision)
     payload = {
         "mode": plan.mode,

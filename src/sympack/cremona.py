@@ -114,9 +114,9 @@ def _to_grid(mu: Fraction, lams) -> tuple[int, int, list[int]]:
             [l.numerator * (d // l.denominator) for l in lams])
 
 
-def _volume_ok(mu: int, lams: list[int], strict: bool) -> bool:
-    total = sum(l * l for l in lams)
-    return total < mu * mu if strict else total <= mu * mu
+def _volume_ok(mu: int, squares: int, strict: bool) -> bool:
+    """The volume check of a vector whose squared entries sum to ``squares``."""
+    return squares < mu * mu if strict else squares <= mu * mu
 
 
 def _run_moves(mu: int, lams: list[int]) -> tuple[str | None, list[tuple]]:
@@ -181,7 +181,7 @@ def _reduce_grid(d: int, mu: int, lams: list[int],
 
     Each distinct integer of the trace becomes one ``Fraction(x, d)``.
     """
-    vol_ok = _volume_ok(mu, lams, strict_volume)
+    vol_ok = _volume_ok(mu, sum(l * l for l in lams), strict_volume)
     reason, states = _run_moves(mu, lams)
     if reason is None and not vol_ok:
         reason = REASON_VOLUME
@@ -227,19 +227,38 @@ def decide_ball_packing(mu, lambdas, strict_volume: bool = False) -> bool:
     A failed volume check rejects at once, with no moves.  Each run of one
     repeated ball object is converted and checked once.
     """
+    return _decide_runs(mu, _runs(lambdas), strict_volume)
+
+
+def _decide_runs(mu, runs: list[tuple[Fraction, int]],
+                 strict_volume: bool) -> bool:
+    """``decide_ball_packing`` of ``count`` balls of capacity c per run (c, count).
+
+    The volume comes from the runs as sum count x^2, and the first defect
+    from the three largest entries; the entry list is built only when a
+    Cremona move is needed.  For n >= 9 equal balls that pass the volume
+    check, x <= mu/3, so the first defect is >= 0 and no list is built.
+    """
     mu = Fraction(mu)
     if mu <= 0:
         raise ValueError(f"mu = {mu} must be > 0")
-    runs = _runs(lambdas)
     if any(l < 0 for l, _ in runs):
         raise ValueError("ball capacities must be >= 0")
     _, mu, grid = _to_grid(mu, [l for l, _ in runs])
-    lams: list[int] = []
-    for x, (_, count) in zip(grid, runs):
-        if x:
-            lams += [x] * count
-    if not _volume_ok(mu, lams, strict_volume):
+    runs = [(x, count) for x, (_, count) in zip(grid, runs) if x]
+    if not _volume_ok(mu, sum(count * x * x for x, count in runs),
+                      strict_volume):
         return False
+    top: list[int] = []
+    for x, count in sorted(runs, reverse=True):
+        top += [x] * min(count, 3 - len(top))
+        if len(top) == 3:
+            break
+    if mu >= sum(top):
+        return True
+    lams: list[int] = []
+    for x, count in runs:
+        lams += [x] * count
     return _run_moves(mu, lams)[0] is None
 
 
@@ -247,7 +266,8 @@ def max_equal_ball(n: int, tol) -> Fraction:
     """Largest capacity (within tol) of n equal balls packing P^2(1).
 
     Binary search over the accepted/rejected threshold; the returned value
-    is accepted and the value plus tol is rejected.
+    is accepted and the value plus tol is rejected.  Each step decides one
+    run of n balls, so no n-entry list is built for n >= 9.
     """
     if n < 1:
         raise ValueError("need at least one ball")
@@ -257,7 +277,7 @@ def max_equal_ball(n: int, tol) -> Fraction:
     lo, hi = Fraction(0), Fraction(2)
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if decide_ball_packing(1, (mid,) * n):
+        if _decide_runs(1, [(mid, n)], False):
             lo = mid
         else:
             hi = mid

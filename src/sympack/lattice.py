@@ -111,10 +111,17 @@ class BlowupForm:
         return len(self.lambdas)
 
     @cached_property
-    def kappa_sq(self) -> Fraction:
+    def grid(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(d, runs): over the lcm d of the denominators, each size is w/d
+        for its run (1, w)."""
         d = lcm(*(l.denominator for l in self.lambdas))
-        return Fraction(sum((l.numerator * (d // l.denominator)) ** 2
-                            for l in self.lambdas), d * d)
+        return d, tuple((1, l.numerator * (d // l.denominator))
+                        for l in self.lambdas)
+
+    @cached_property
+    def kappa_sq(self) -> Fraction:
+        d, runs = self.grid
+        return Fraction(sum(w * w for _, w in runs), d * d)
 
     @property
     def volume(self) -> Fraction:

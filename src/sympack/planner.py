@@ -3,9 +3,28 @@
 A singular polarization (curves with areas and residues, cyclically
 intersecting) is cut into attracting basins of discs and crosses: the
 basin of a disc of area A on a curve of residue alpha is the ellipsoid
-E(A, alpha); the basin of a cross at an intersection point is a
-pseudo-ball.  Piece volumes add up to the manifold volume exactly.  A
-cascade perturbation retargets piece volumes while keeping the disc areas
+E(A, alpha) (Buse-Hind, arXiv:1112.1149); the basin of a cross at an
+intersection point is a pseudo-ball (Cristofaro-Gardiner,
+arXiv:1409.4378).  A disc allocation gives curve i a main disc and one
+cross disc at each of its two intersection points, prev_i at x_{i-1} and
+next_i at x_i, with main_i + prev_i + next_i = area_i.
+
+One integer grid.  The areas, residues and disc areas of a polarization
+and its allocation are scaled once by d, the lcm of their denominators,
+as ``cremona._to_grid`` does for a packing vector.  Every allocation
+check and piece formula below compares or combines those integers, a
+message is built only for a check that fails, and each public call builds
+its Fractions once, at the end.  The ball partition still works on
+Fractions.
+
+One piece-volume formula.  With alpha_i the residue of curve i, the
+ellipsoid E_i has volume main_i alpha_i / 2 and the cross T_i between
+curves i and i+1 has volume (next_i alpha_i + prev_{i+1} alpha_{i+1}) / 2.
+
+Implied volume.  Summed over the cascade E_1, T_1, ..., E_l, T_l these
+are sum_i alpha_i (main_i + prev_i + next_i) / 2 = sum_i alpha_i area_i / 2,
+the polarization's implied volume, for every valid allocation.  A cascade
+perturbation retargets piece volumes while keeping the disc areas
 admissible, and the planner's stability constant is the minimum of the
 per-piece certified bounds and the ball size sqrt(2*delta) that the
 retargeting slack delta absorbs.
@@ -53,8 +72,7 @@ class Curve:
     residue: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "area", Fraction(self.area))
-        object.__setattr__(self, "residue", Fraction(self.residue))
+        toric._exact_fields(self, "area", "residue")
 
 
 @dataclass(frozen=True)
@@ -67,7 +85,7 @@ class Polarization:
     def __post_init__(self):
         object.__setattr__(self, "curves", tuple(self.curves))
         if self.total_volume is not None:
-            object.__setattr__(self, "total_volume", Fraction(self.total_volume))
+            toric._exact_fields(self, "total_volume")
 
     def __len__(self):
         return len(self.curves)
@@ -124,8 +142,7 @@ def basin_of_cross(a_i, alpha_i, a_j, alpha_j) -> toric.PseudoBall:
     Requires a_i in ]alpha_i, alpha_i+alpha_j[ and a_j in
     ]alpha_j, alpha_j+alpha_i[; volume (a_i alpha_i + a_j alpha_j)/2.
     """
-    return toric.PseudoBall(Fraction(a_j), Fraction(a_i),
-                            Fraction(alpha_j), Fraction(alpha_i))
+    return toric.PseudoBall(a_j, a_i, alpha_j, alpha_i)
 
 
 @dataclass(frozen=True)
@@ -137,9 +154,11 @@ class DiscAllocation:
     next: tuple[Fraction, ...]
 
     def __post_init__(self):
+        # entries that already are exact Fractions are kept as they are
         for name in ("main", "prev", "next"):
-            object.__setattr__(self, name,
-                               tuple(Fraction(x) for x in getattr(self, name)))
+            xs = getattr(self, name)
+            if type(xs) is not tuple or not {*map(type, xs)} <= {Fraction}:
+                object.__setattr__(self, name, tuple(map(toric._exact, xs)))
         if not len(self.main) == len(self.prev) == len(self.next):
             raise AllocationError("allocation arrays must have equal length")
 
@@ -153,53 +172,131 @@ def _require_valid(pol: Polarization):
             "cyclic disc planning needs at least 2 curves")
 
 
+def _on_grid(*groups) -> tuple[int, list[list[int]]]:
+    """(d, each group as the integers x*d) over the lcm d of every denominator."""
+    d = math.lcm(*{x.denominator for xs in groups for x in xs})
+    return d, [[x.numerator * (d // x.denominator) for x in xs] for xs in groups]
+
+
+class _Grid:
+    """A polarization and its allocation as integers over one denominator d.
+
+    ``extra`` values, if any, join the grid; they come back as
+    ``self.extra``.
+    """
+
+    def __init__(self, pol: Polarization, alloc: DiscAllocation, extra=()):
+        self.pol, self.alloc = pol, alloc
+        self.d, (self.area, self.alpha, self.main, self.prev, self.next,
+                 self.extra) = _on_grid(
+            [c.area for c in pol.curves], [c.residue for c in pol.curves],
+            alloc.main, alloc.prev, alloc.next, extra)
+
+    def errors(self) -> list[str]:
+        """The violated admissibility conditions of the allocation."""
+        pol, alloc, d = self.pol, self.alloc, self.d
+        alpha = self.alpha
+        l = len(alpha)
+        if len(alloc.main) != l:
+            return [f"allocation for {len(alloc.main)} curves, polarization has {l}"]
+        errors = []
+        for i, (m, p, n) in enumerate(zip(self.main, self.prev, self.next)):
+            a_i, a_next, a_prev = alpha[i], alpha[(i + 1) % l], alpha[i - 1]
+            if m <= 0:
+                errors.append(f"curve {i}: main disc area {alloc.main[i]} not > 0")
+            if not a_i < n < a_i + a_next:
+                errors.append(
+                    f"curve {i}: next disc {alloc.next[i]} outside "
+                    f"]{pol.curves[i].residue}, {Fraction(a_i + a_next, d)}[")
+            if not a_i < p < a_i + a_prev:
+                errors.append(
+                    f"curve {i}: prev disc {alloc.prev[i]} outside "
+                    f"]{pol.curves[i].residue}, {Fraction(a_i + a_prev, d)}[")
+            if m + p + n != self.area[i]:
+                errors.append(
+                    f"curve {i}: disc areas sum to {Fraction(m + p + n, d)}, "
+                    f"area is {pol.curves[i].area}")
+        return errors
+
+    def pieces(self) -> list[Piece]:
+        """Pieces in cascade order E_1, T_1, E_2, T_2, ..., E_l, T_l.
+
+        E_i has volume main_i alpha_i / 2 and T_i has volume
+        (next_i alpha_i + prev_{i+1} alpha_{i+1}) / 2, both taken on the
+        grid.  The domains raise the toric error of a non-positive
+        residue.
+        """
+        pol, alloc = self.pol, self.alloc
+        alpha, den = self.alpha, 2 * self.d * self.d
+        l = len(alpha)
+        pieces = []
+        for i, curve in enumerate(pol.curves):
+            j = (i + 1) % l
+            pieces.append(Piece(
+                "ellipsoid", basin_of_disc(alloc.main[i], curve.residue),
+                Fraction(self.main[i] * alpha[i], den), f"E{i + 1}"))
+            pieces.append(Piece(
+                "cross", basin_of_cross(alloc.next[i], curve.residue,
+                                        alloc.prev[j], pol.curves[j].residue),
+                Fraction(self.next[i] * alpha[i] + self.prev[j] * alpha[j], den),
+                f"T{i + 1},{j + 1}"))
+        return pieces
+
+    def delta(self) -> Fraction:
+        """The least candidate slack * alpha_j / c_j of ``compute_delta``.
+
+        On the grid a candidate is slack alpha_j / (c_j d^2); candidates
+        are compared by integer cross-multiplication.
+        """
+        alpha = self.alpha
+        l = len(alpha)
+        if 0 in alpha:
+            raise ZeroDivisionError("a zero residue leaves 1/alpha undefined")
+        best_num = best_den = None
+        for j, a_j in enumerate(alpha):
+            n, p = self.next[j], self.prev[j]
+            candidates = [(self.main[j], 2),
+                          (min(n - a_j, a_j + alpha[(j + 1) % l] - n), 4 * j + 2)]
+            if j >= 1:
+                candidates.append((min(p - a_j, a_j + alpha[j - 1] - p), 4 * j))
+            for slack, c in candidates:
+                num = slack * a_j
+                if best_num is None or num * best_den < best_num * c:
+                    best_num, best_den = num, c
+        if best_num is None:
+            raise AllocationError("allocation has no curves: delta is unconstrained")
+        return Fraction(best_num, best_den * self.d * self.d)
+
+
+def _valid_grid(pol: Polarization, alloc: DiscAllocation, extra=()) -> _Grid:
+    grid = _Grid(pol, alloc, extra)
+    errors = grid.errors()
+    if errors:
+        raise AllocationError("; ".join(errors))
+    return grid
+
+
 def validate_allocation(pol: Polarization, alloc: DiscAllocation) -> list[str]:
-    errors = []
-    l = len(pol)
-    if len(alloc.main) != l:
-        return [f"allocation for {len(alloc.main)} curves, polarization has {l}"]
-    for i, curve in enumerate(pol.curves):
-        a_i = curve.residue
-        a_next = pol.curves[(i + 1) % l].residue
-        a_prev = pol.curves[(i - 1) % l].residue
-        if alloc.main[i] <= 0:
-            errors.append(f"curve {i}: main disc area {alloc.main[i]} not > 0")
-        if not a_i < alloc.next[i] < a_i + a_next:
-            errors.append(
-                f"curve {i}: next disc {alloc.next[i]} outside "
-                f"]{a_i}, {a_i + a_next}[")
-        if not a_i < alloc.prev[i] < a_i + a_prev:
-            errors.append(
-                f"curve {i}: prev disc {alloc.prev[i]} outside "
-                f"]{a_i}, {a_i + a_prev}[")
-        if alloc.main[i] + alloc.prev[i] + alloc.next[i] != curve.area:
-            errors.append(
-                f"curve {i}: disc areas sum to "
-                f"{alloc.main[i] + alloc.prev[i] + alloc.next[i]}, "
-                f"area is {curve.area}")
-    return errors
+    return _Grid(pol, alloc).errors()
 
 
 def plan_discs(pol: Polarization) -> DiscAllocation:
-    """Default heuristic: every cross disc at the midpoint of its interval."""
+    """Default heuristic: every cross disc at the midpoint of its interval.
+
+    For a valid polarization the result is a valid allocation: each cross
+    disc lies inside its interval, and the main disc area_i - 2 alpha_i -
+    (alpha_{i-1} + alpha_{i+1}) / 2 is at least 7 max alpha > 0.
+    """
     _require_valid(pol)
-    l = len(pol)
-    nxt, prv, main = [], [], []
-    for i, curve in enumerate(pol.curves):
-        a_i = curve.residue
-        nxt.append(a_i + pol.curves[(i + 1) % l].residue / 2)
-        prv.append(a_i + pol.curves[(i - 1) % l].residue / 2)
-    for i, curve in enumerate(pol.curves):
-        m = curve.area - prv[i] - nxt[i]
-        if m <= 0:
-            raise AllocationError(
-                f"curve {i}: cross discs already exceed area {curve.area}")
-        main.append(m)
-    alloc = DiscAllocation(tuple(main), tuple(prv), tuple(nxt))
-    errors = validate_allocation(pol, alloc)
-    if errors:
-        raise AllocationError("; ".join(errors))
-    return alloc
+    d, (area, alpha) = _on_grid([c.area for c in pol.curves],
+                                [c.residue for c in pol.curves])
+    l, den = len(alpha), 2 * d
+    nxt = [2 * a + alpha[(i + 1) % l] for i, a in enumerate(alpha)]
+    prv = [2 * a + alpha[i - 1] for i, a in enumerate(alpha)]
+    return DiscAllocation(
+        tuple(Fraction(2 * a - p - n, den) for a, p, n in zip(area, prv, nxt)),
+        tuple(Fraction(p, den) for p in prv),
+        tuple(Fraction(n, den) for n in nxt))
 
 
 @dataclass(frozen=True)
@@ -212,20 +309,7 @@ class Piece:
 
 def build_pieces(pol: Polarization, alloc: DiscAllocation) -> list[Piece]:
     """Pieces in cascade order E_1, T_1, E_2, T_2, ..., E_l, T_l."""
-    errors = validate_allocation(pol, alloc)
-    if errors:
-        raise AllocationError("; ".join(errors))
-    l = len(pol)
-    pieces = []
-    for i, curve in enumerate(pol.curves):
-        e = basin_of_disc(alloc.main[i], curve.residue)
-        pieces.append(Piece("ellipsoid", e, toric.volume(e), f"E{i + 1}"))
-        j = (i + 1) % l
-        t = basin_of_cross(alloc.next[i], curve.residue,
-                           alloc.prev[j], pol.curves[j].residue)
-        pieces.append(Piece("cross", t, toric.volume(t),
-                            f"T{i + 1},{j + 1}"))
-    return pieces
+    return _valid_grid(pol, alloc).pieces()
 
 
 def perturb_allocation(pol: Polarization, alloc: DiscAllocation,
@@ -236,34 +320,39 @@ def perturb_allocation(pol: Polarization, alloc: DiscAllocation,
     (E_1, T_1, E_2, T_2, ...); their total must equal the current total
     exactly, which makes the final cross close by itself.  Raises if any
     adjusted disc leaves its admissible interval.
-    """
-    targets = [Fraction(t) for t in targets]
-    l = len(pol)
-    pieces = build_pieces(pol, alloc)
-    if len(targets) != len(pieces):
-        raise AllocationError(
-            f"{len(pieces)} pieces but {len(targets)} targets")
-    total = sum((p.volume for p in pieces), Fraction(0))
-    if sum(targets, Fraction(0)) != total:
-        raise ClosureError(
-            f"targets sum to {sum(targets, Fraction(0))}, plan volume is {total}")
 
-    alphas = [c.residue for c in pol.curves]
-    new_main = [Fraction(0)] * l
-    new_prev = list(alloc.prev)        # prev[0] stays fixed
-    new_next = [Fraction(0)] * l
-    new_main[0] = 2 * targets[0] / alphas[0]
-    new_next[0] = pol.curves[0].area - new_prev[0] - new_main[0]
-    for j in range(1, l):
-        cross_target = targets[2 * j - 1]
-        new_prev[j] = (2 * cross_target
-                       - new_next[j - 1] * alphas[j - 1]) / alphas[j]
-        new_main[j] = 2 * targets[2 * j] / alphas[j]
-        new_next[j] = pol.curves[j].area - new_prev[j] - new_main[j]
-    closing = (new_next[l - 1] * alphas[l - 1] + new_prev[0] * alphas[0]) / 2
-    if closing != targets[2 * l - 1]:
-        raise ClosureError(f"cascade closes at {closing}, "
-                           f"last cross target is {targets[2 * l - 1]}")
+    The current total needs no pieces: for a valid allocation it is
+    sum_i main_i alpha_i/2 + sum_i (next_i alpha_i + prev_{i+1} alpha_{i+1})/2
+    = sum_i alpha_i (main_i + prev_i + next_i)/2 = sum_i alpha_i area_i/2,
+    which is ``pol.implied_volume``.
+
+    On the grid area_j = A_j/d, alpha_j = R_j/d and t_k = T_k/d, and the
+    cascade keeps X_j = next_j alpha_j d^2 and Y_j = prev_j alpha_j d^2 as
+    integers: main_j = 2 T_2j / R_j, Y_j = 2 d T_2j-1 - X_j-1 and
+    X_j = A_j R_j - Y_j - 2 d T_2j.  Summing these, X_l-1 + Y_0 = 2 d T_2l-1
+    whenever the totals agree, so the final cross closes.
+    """
+    targets = [t if type(t) is Fraction else Fraction(t) for t in targets]
+    grid = _valid_grid(pol, alloc, targets)
+    if any(r <= 0 for r in grid.alpha):
+        grid.pieces()               # raises: a piece is no toric domain
+    l = len(pol)
+    if len(targets) != 2 * l:
+        raise AllocationError(f"{2 * l} pieces but {len(targets)} targets")
+    d, area, alpha, t = grid.d, grid.area, grid.alpha, grid.extra
+    if 2 * d * sum(t) != sum(a * r for a, r in zip(area, alpha)):
+        raise ClosureError(f"targets sum to {sum(targets, Fraction(0))}, "
+                           f"plan volume is {pol.implied_volume}")
+
+    new_main, new_prev, new_next = [], [alloc.prev[0]], []   # prev[0] stays fixed
+    y = grid.prev[0] * alpha[0]
+    for j, r in enumerate(alpha):
+        if j:
+            y = 2 * d * t[2 * j - 1] - x
+            new_prev.append(Fraction(y, r * d))
+        x = area[j] * r - y - 2 * d * t[2 * j]
+        new_main.append(Fraction(2 * t[2 * j], r))
+        new_next.append(Fraction(x, r * d))
 
     perturbed = DiscAllocation(tuple(new_main), tuple(new_prev), tuple(new_next))
     errors = validate_allocation(pol, perturbed)
@@ -277,35 +366,12 @@ def compute_delta(pol: Polarization, alloc: DiscAllocation) -> Fraction:
 
     Worst-case linear propagation of the cascade: retargeting piece
     volumes by up to +-delta shifts the disc at curve j by at most
-    coef_j * delta; delta is the minimum constraint slack over these
-    sensitivities.  This slack definition is this artifact's own.
+    coef_j * delta, with coef_j = c_j / alpha_j and c_j one of 2 (main),
+    4j+2 (next) and 4j (prev, j >= 1); delta is the minimum constraint
+    slack over these sensitivities.  This slack definition is this
+    artifact's own.
     """
-    errors = validate_allocation(pol, alloc)
-    if errors:
-        raise AllocationError("; ".join(errors))
-    l = len(pol)
-    alphas = [c.residue for c in pol.curves]
-    best = None
-
-    def consider(slack: Fraction, coef: Fraction):
-        nonlocal best
-        cand = slack / coef
-        if best is None or cand < best:
-            best = cand
-
-    for j in range(l):
-        a_j = alphas[j]
-        a_next = alphas[(j + 1) % l]
-        a_prev = alphas[(j - 1) % l]
-        consider(alloc.main[j], Fraction(2) / a_j)
-        next_slack = min(alloc.next[j] - a_j, a_j + a_next - alloc.next[j])
-        consider(next_slack, Fraction(4 * j + 2) / a_j)
-        if j >= 1:
-            prev_slack = min(alloc.prev[j] - a_j, a_j + a_prev - alloc.prev[j])
-            consider(prev_slack, Fraction(4 * j) / a_j)
-    if best is None:
-        raise AllocationError("allocation has no curves: delta is unconstrained")
-    return best
+    return _valid_grid(pol, alloc).delta()
 
 
 @dataclass(frozen=True)
@@ -321,13 +387,18 @@ class DecompositionPlan:
 def build_plan(pol: Polarization, alloc: DiscAllocation | None = None,
                mode: str = certifier.CONSERVATIVE,
                precision: int | None = None) -> DecompositionPlan:
+    """The plan of a valid polarization; the midpoint allocation by default.
+
+    The polarization and the allocation are each validated once.
+    """
     _require_valid(pol)
     if alloc is None:
         alloc = plan_discs(pol)
-    pieces = build_pieces(pol, alloc)
+    grid = _valid_grid(pol, alloc)
+    pieces = grid.pieces()
     lam_pieces = min(certifier.lambda_bound(p.domain, mode, precision)
                      for p in pieces)
-    delta = compute_delta(pol, alloc)
+    delta = grid.delta()
     lam_prime = min(lam_pieces, sqrt_lower(2 * delta, precision))
     return DecompositionPlan(tuple(pieces), delta, lam_pieces, lam_prime, mode)
 

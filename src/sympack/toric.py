@@ -76,9 +76,22 @@ def polytope_area(p: MomentPolytope) -> Fraction:
     return twice / 2
 
 
-def _require_positive(**params):
+def _exact(value) -> Fraction:
+    """``value`` itself when it already is a Fraction, else Fraction(value)."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
+def _exact_fields(domain, *names):
+    """Make each named field of a frozen domain an exact Fraction."""
+    for name in names:
+        value = getattr(domain, name)
+        if type(value) is not Fraction:
+            object.__setattr__(domain, name, Fraction(value))
+
+
+def _require_positive(**params: Fraction):
     for name, value in params.items():
-        if value <= 0:
+        if value.numerator <= 0:
             raise InvalidParameterError(f"parameter {name} = {value} must be > 0")
 
 
@@ -88,17 +101,18 @@ def validate_pseudo_ball(a, b, alpha, beta) -> list[str]:
     Non-positive parameters are an input error, raised separately, since
     they are outside the constraint system rather than a boundary case.
     """
-    a, b, alpha, beta = map(Fraction, (a, b, alpha, beta))
+    a, b, alpha, beta = _exact(a), _exact(b), _exact(alpha), _exact(beta)
     _require_positive(a=a, b=b, alpha=alpha, beta=beta)
     violations = []
+    total = alpha + beta
     if not a > alpha:
         violations.append(f"a > alpha fails ({a} <= {alpha})")
     if not b > beta:
         violations.append(f"b > beta fails ({b} <= {beta})")
-    if not a < alpha + beta:
-        violations.append(f"a < alpha+beta fails ({a} >= {alpha + beta})")
-    if not b < alpha + beta:
-        violations.append(f"b < alpha+beta fails ({b} >= {alpha + beta})")
+    if not a < total:
+        violations.append(f"a < alpha+beta fails ({a} >= {total})")
+    if not b < total:
+        violations.append(f"b < alpha+beta fails ({b} >= {total})")
     return violations
 
 
@@ -107,7 +121,7 @@ class Ball:
     capacity: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "capacity", Fraction(self.capacity))
+        _exact_fields(self, "capacity")
         _require_positive(capacity=self.capacity)
 
     def __str__(self):
@@ -120,8 +134,7 @@ class Ellipsoid:
     b: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        _exact_fields(self, "a", "b")
         _require_positive(a=self.a, b=self.b)
 
     def __str__(self):
@@ -136,8 +149,7 @@ class PseudoBall:
     beta: Fraction
 
     def __post_init__(self):
-        for name in ("a", "b", "alpha", "beta"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+        _exact_fields(self, "a", "b", "alpha", "beta")
         violations = validate_pseudo_ball(self.a, self.b, self.alpha, self.beta)
         if violations:
             raise PseudoBallViolation(violations)
@@ -152,7 +164,7 @@ class ProjectivePlane:
     scale: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "scale", Fraction(self.scale))
+        _exact_fields(self, "scale")
         _require_positive(scale=self.scale)
 
     def __str__(self):

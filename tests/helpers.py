@@ -222,3 +222,161 @@ def classify_by_flow(fixed, point, disc_r1, disc_r2, tol: float = 1e-9) -> bool:
             return False
         t = nt
     return False
+
+
+# --- the planner written plainly on Fractions, as a test oracle ------------
+
+def reference_validate_allocation(pol, alloc) -> list[str]:
+    """``planner.validate_allocation``: one Fraction comparison per check."""
+    errors = []
+    l = len(pol)
+    if len(alloc.main) != l:
+        return [f"allocation for {len(alloc.main)} curves, polarization has {l}"]
+    for i, curve in enumerate(pol.curves):
+        a_i = curve.residue
+        a_next = pol.curves[(i + 1) % l].residue
+        a_prev = pol.curves[(i - 1) % l].residue
+        if alloc.main[i] <= 0:
+            errors.append(f"curve {i}: main disc area {alloc.main[i]} not > 0")
+        if not a_i < alloc.next[i] < a_i + a_next:
+            errors.append(
+                f"curve {i}: next disc {alloc.next[i]} outside "
+                f"]{a_i}, {a_i + a_next}[")
+        if not a_i < alloc.prev[i] < a_i + a_prev:
+            errors.append(
+                f"curve {i}: prev disc {alloc.prev[i]} outside "
+                f"]{a_i}, {a_i + a_prev}[")
+        if alloc.main[i] + alloc.prev[i] + alloc.next[i] != curve.area:
+            errors.append(
+                f"curve {i}: disc areas sum to "
+                f"{alloc.main[i] + alloc.prev[i] + alloc.next[i]}, "
+                f"area is {curve.area}")
+    return errors
+
+
+def _reference_require_allocation(pol, alloc):
+    errors = reference_validate_allocation(pol, alloc)
+    if errors:
+        raise planner.AllocationError("; ".join(errors))
+
+
+def reference_build_pieces(pol, alloc) -> list:
+    """``planner.build_pieces``: each volume is ``toric.volume`` of its domain."""
+    _reference_require_allocation(pol, alloc)
+    l = len(pol)
+    pieces = []
+    for i, curve in enumerate(pol.curves):
+        e = toric.Ellipsoid(alloc.main[i], curve.residue)
+        pieces.append(planner.Piece("ellipsoid", e, toric.volume(e), f"E{i + 1}"))
+        j = (i + 1) % l
+        t = toric.PseudoBall(alloc.prev[j], alloc.next[i],
+                             pol.curves[j].residue, curve.residue)
+        pieces.append(planner.Piece("cross", t, toric.volume(t),
+                                    f"T{i + 1},{j + 1}"))
+    return pieces
+
+
+def reference_perturb(pol, alloc, targets):
+    """``planner.perturb_allocation``: the cascade on Fractions, with the
+    plan volume summed over freshly built pieces."""
+    targets = [Fraction(t) for t in targets]
+    l = len(pol)
+    pieces = reference_build_pieces(pol, alloc)
+    if len(targets) != len(pieces):
+        raise planner.AllocationError(
+            f"{len(pieces)} pieces but {len(targets)} targets")
+    total = sum((p.volume for p in pieces), Fraction(0))
+    if sum(targets, Fraction(0)) != total:
+        raise planner.ClosureError(
+            f"targets sum to {sum(targets, Fraction(0))}, plan volume is {total}")
+    alphas = [c.residue for c in pol.curves]
+    new_main = [Fraction(0)] * l
+    new_prev = list(alloc.prev)
+    new_next = [Fraction(0)] * l
+    new_main[0] = 2 * targets[0] / alphas[0]
+    new_next[0] = pol.curves[0].area - new_prev[0] - new_main[0]
+    for j in range(1, l):
+        new_prev[j] = (2 * targets[2 * j - 1]
+                       - new_next[j - 1] * alphas[j - 1]) / alphas[j]
+        new_main[j] = 2 * targets[2 * j] / alphas[j]
+        new_next[j] = pol.curves[j].area - new_prev[j] - new_main[j]
+    closing = (new_next[l - 1] * alphas[l - 1] + new_prev[0] * alphas[0]) / 2
+    if closing != targets[2 * l - 1]:
+        raise planner.ClosureError(f"cascade closes at {closing}, "
+                                   f"last cross target is {targets[2 * l - 1]}")
+    perturbed = planner.DiscAllocation(tuple(new_main), tuple(new_prev),
+                                       tuple(new_next))
+    errors = reference_validate_allocation(pol, perturbed)
+    if errors:
+        raise planner.AllocationError(
+            "perturbed allocation invalid: " + "; ".join(errors))
+    return perturbed
+
+
+def reference_compute_delta(pol, alloc) -> Fraction:
+    """``planner.compute_delta``: each candidate slack / (c_j / alpha_j)."""
+    _reference_require_allocation(pol, alloc)
+    l = len(pol)
+    alphas = [c.residue for c in pol.curves]
+    cands = []
+    for j in range(l):
+        a_j, a_next, a_prev = alphas[j], alphas[(j + 1) % l], alphas[(j - 1) % l]
+        cands.append(alloc.main[j] / (Fraction(2) / a_j))
+        next_slack = min(alloc.next[j] - a_j, a_j + a_next - alloc.next[j])
+        cands.append(next_slack / (Fraction(4 * j + 2) / a_j))
+        if j >= 1:
+            prev_slack = min(alloc.prev[j] - a_j, a_j + a_prev - alloc.prev[j])
+            cands.append(prev_slack / (Fraction(4 * j) / a_j))
+    if not cands:
+        raise planner.AllocationError(
+            "allocation has no curves: delta is unconstrained")
+    return min(cands)
+
+
+def reference_partition(balls, piece_volumes, delta, pad=False):
+    """``planner.partition_balls`` on Fractions, one deficit list per ball."""
+    delta = Fraction(delta)
+    if delta <= 0:
+        raise planner.PartitionError("delta must be > 0")
+    caps = [Fraction(b) for b in balls]
+    vols = [c * c / 2 for c in caps]
+    targets = [Fraction(v) for v in piece_volumes]
+    if not targets:
+        raise planner.PartitionError("no pieces to fill")
+    for i, v in enumerate(vols):
+        if all(v > t + delta for t in targets):
+            raise planner.PartitionError(
+                f"ball {i} (volume {v}) exceeds every piece volume + delta")
+    if sum(vols, Fraction(0)) > sum(targets, Fraction(0)):
+        raise planner.PartitionError("total ball volume exceeds total piece volume")
+    order = sorted(range(len(caps)), key=lambda i: vols[i], reverse=True)
+    subsets = [[] for _ in targets]
+    filled = [Fraction(0)] * len(targets)
+    for i in order:
+        deficits = [t - f for t, f in zip(targets, filled)]
+        j = max(range(len(targets)), key=lambda k: (deficits[k], -k))
+        subsets[j].append(i)
+        filled[j] += vols[i]
+    fillers = []
+    if pad:
+        for j, (t, f) in enumerate(zip(targets, filled)):
+            deficit = t - f
+            while deficit > 0:
+                chunk = min(deficit, delta / 2) if deficit > delta else deficit
+                fillers.append(planner.Filler(j, chunk))
+                filled[j] += chunk
+                deficit -= chunk
+    for j, (t, f) in enumerate(zip(targets, filled)):
+        if abs(t - f) > delta:
+            raise planner.PartitionError(
+                f"piece {j}: subset volume {f} misses target {t} by more "
+                f"than delta = {delta}; pass pad=True or add balls")
+    return planner.PartitionResult(subsets, filled, fillers)
+
+
+def outcome(fn, *args, **kwargs):
+    """("ok", value) of a call, or (exception type, message) when it raises."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except Exception as exc:           # the type and message are compared
+        return type(exc), str(exc)

@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sympack
-from sympack import cli
+from sympack import cli, toric
 from sympack.cli import COMMANDS, MAX_BALLS, parse_ball_list, run
 from sympack.rationals import RationalParseError
 
@@ -145,7 +150,8 @@ def test_ellipsoid_decide(capsys):
     assert code == 1
 
 
-GOLDEN = Path(__file__).parent / "golden"
+REPO = Path(__file__).resolve().parents[1]
+GOLDEN = REPO / "tests" / "golden"
 
 
 @pytest.mark.parametrize("argv, golden", [
@@ -376,3 +382,253 @@ def test_cli_import_leaves_numpy_out():
         [sys.executable, "-c",
          "import sympack.cli, sys; assert 'numpy' not in sys.modules"],
         env=dict(os.environ, PYTHONPATH=str(src)), check=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["decompose", "--polarization", "examples/pol.json",
+      "--balls", "examples/balls.json", "--pad"], "decompose_examples.txt"),
+    (["decompose", "--polarization", "tests/golden/pol_ties.json",
+      "--balls", "tests/golden/balls_ties.json", "--pad",
+      "--mode", "optimistic"], "decompose_ties.txt"),
+])
+def test_decompose_report_is_pinned(capsys, monkeypatch, argv, golden):
+    monkeypatch.chdir(REPO)
+    code, out = capture(capsys, argv + ["--json"])
+    assert code == 0
+    masked = re.sub(r'"elapsed_s": [^,]+,', '"elapsed_s": "masked",', out)
+    assert masked == (GOLDEN / golden).read_text()
+
+
+# --- the CLI contract: parsers and exit codes on random input --------------
+
+_numerals = st.integers(-20, 400).map(str)
+_rational_texts = st.one_of(
+    st.builds("{}/{}".format, _numerals, st.integers(1, 97)),
+    _numerals,
+    st.sampled_from(("", " ", "1/0", "0.5", "1e3", "abc", "1/2/3", "-0",
+                     " 3/4 ", "+5/6", "1_000", "٣")))
+
+
+@st.composite
+def ball_list_texts(draw):
+    """(text, expected balls) for a list of 'p/q' or 'p/qxN' parts."""
+    parts, balls = [], []
+    for num, den, count in draw(st.lists(
+            st.tuples(st.integers(0, 300), st.integers(1, 97),
+                      st.none() | st.integers(0, 40)), max_size=8)):
+        pad = draw(st.sampled_from(("", " ", "  ")))
+        if count is None:
+            parts.append(f"{pad}{num}/{den}{pad}")
+            count = 1
+        else:
+            parts.append(f"{pad}{num}/{den}x{count}{pad}")
+        balls += [F(num, den)] * count
+        if draw(st.booleans()):
+            parts.append(draw(st.sampled_from(("", " "))))      # empty part
+    return ",".join(parts), balls
+
+
+@settings(max_examples=300, deadline=None)
+@given(ball_list_texts())
+def test_parse_ball_list_reads_its_grammar(case):
+    text, balls = case
+    parsed = parse_ball_list(text)
+    assert parsed == balls and all(type(b) is F for b in parsed)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789/x, -+.e_", max_size=24))
+def test_parse_ball_list_accepts_or_names_the_error(text):
+    try:
+        parsed = parse_ball_list(text)
+    except RationalParseError:
+        return
+    assert all(type(b) is F for b in parsed) and len(parsed) <= MAX_BALLS
+
+
+_positive = st.builds(F, st.integers(1, 60), st.integers(1, 30))
+_domains = st.one_of(
+    st.builds(toric.Ball, _positive),
+    st.builds(toric.Ellipsoid, _positive, _positive),
+    st.builds(toric.ProjectivePlane, _positive),
+    st.builds(lambda al, be, s, t: toric.PseudoBall(al + s * be, be + t * al,
+                                                    al, be),
+              _positive, _positive,
+              st.builds(F, st.integers(1, 29), st.just(30)),
+              st.builds(F, st.integers(1, 29), st.just(30))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_domains, st.sampled_from(("", " ")))
+def test_parse_domain_round_trip(domain, pad):
+    assert toric.parse_domain(f"{pad}{domain}{pad}") == domain
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.builds("{}({})".format, st.sampled_from(("B", "E", "T", "P2", "Q", "")),
+              st.lists(_rational_texts, max_size=5).map(",".join)),
+    st.text(alphabet="BETP2()0123456789/,.- ", max_size=20)))
+def test_parse_domain_accepts_or_names_the_error(text):
+    try:
+        domain = toric.parse_domain(text)
+    except (toric.DomainError, RationalParseError):
+        return
+    assert isinstance(domain, (toric.Ball, toric.Ellipsoid, toric.PseudoBall,
+                               toric.ProjectivePlane))
+
+
+_clean_rationals = st.builds("{}/{}".format, st.integers(1, 40), st.integers(1, 40))
+
+
+def _ball_list_arg(broken):
+    if not broken:
+        return st.lists(st.builds("{}/{}x{}".format, st.integers(1, 9),
+                                  st.integers(10, 40), st.integers(1, 12)),
+                        min_size=1, max_size=3).map(",".join)
+    return st.one_of(
+        st.lists(st.one_of(_rational_texts,
+                           st.builds("{}x{}".format, _rational_texts,
+                                     st.sampled_from(("3", "0", "-1", "", "2x2")))),
+                 max_size=5).map(",".join),
+        st.builds(lambda c, n: f"{c}x{n}", _rational_texts, st.integers(0, 60)))
+
+
+def _domain_arg(broken):
+    if not broken:
+        return st.one_of(_domains.filter(
+            lambda d: not isinstance(d, toric.ProjectivePlane)).map(str),
+            st.lists(st.builds("1/{}".format, st.integers(2, 9)),
+                     max_size=3).map(lambda ls: f"Blowup({','.join(ls)})"))
+    return st.one_of(
+        st.builds("{}({})".format,
+                  st.sampled_from(("B", "E", "T", "P2", "Blowup", "blowup")),
+                  st.lists(_rational_texts, max_size=5).map(",".join)),
+        _domains.map(str))
+
+
+@st.composite
+def _json_files(draw, broken):
+    """Contents for the polarization, balls and instance files."""
+    rational = (st.one_of(_rational_texts, st.integers(-2, 3), st.none())
+                if broken else _clean_rationals)
+    curve = st.fixed_dictionaries(
+        {"area": st.sampled_from(("3/2", "2", "5")),
+         "residue": st.sampled_from(("1/10", "1/8", "1/4"))})
+    if broken:
+        curve = st.one_of(curve, st.fixed_dictionaries(
+            {"area": rational, "residue": rational}))
+    curves = st.lists(curve, min_size=2, max_size=4)
+    pol = st.fixed_dictionaries({"curves": curves})
+    balls = st.lists(st.sampled_from(("1/10", "1/20", "1/5")), max_size=6)
+    assignment = st.one_of(
+        st.fixed_dictionaries({
+            "kind": st.sampled_from(("first_axis", "second_axis")),
+            "ellipsoid": st.lists(rational, min_size=2, max_size=2),
+            "component": st.integers(0, 2)}),
+        st.fixed_dictionaries({
+            "kind": st.just("cross"),
+            "ellipsoid": st.lists(rational, min_size=2, max_size=2),
+            "first_component": st.integers(0, 2), "first_branch": st.just("a"),
+            "second_component": st.integers(0, 2), "second_branch": st.just("b")}))
+    inst = st.fixed_dictionaries(
+        {"components": st.lists(st.sampled_from(("1", "2", "3")),
+                                min_size=3, max_size=3),
+         "assignments": st.lists(assignment, max_size=3)})
+    if broken:
+        pol = st.one_of(
+            st.fixed_dictionaries({"curves": st.lists(curve, max_size=4)},
+                                  optional={"volume": rational}),
+            st.lists(curve, max_size=2), rational)
+        balls = st.one_of(
+            st.lists(st.one_of(st.sampled_from(("1/10", "1/5")), rational),
+                     max_size=6),
+            st.fixed_dictionaries({"balls": st.lists(rational, max_size=4)}),
+            rational)
+        assignment = st.one_of(assignment, st.fixed_dictionaries(
+            {"kind": st.sampled_from(("first_axis", "cross", "free", "other")),
+             "ellipsoid": st.lists(rational, min_size=1, max_size=3)},
+            optional={"component": st.one_of(st.integers(-1, 3), rational),
+                      "first_component": st.integers(-1, 3),
+                      "first_branch": st.sampled_from(("a", "b")),
+                      "second_component": st.integers(-1, 3),
+                      "second_branch": st.sampled_from(("a", "b"))}))
+        inst = st.one_of(st.fixed_dictionaries(
+            {"components": st.lists(rational, max_size=3)},
+            optional={"assignments": st.lists(assignment, max_size=3)}), rational)
+    return {"pol.json": draw(pol), "balls.json": draw(balls),
+            "inst.json": draw(inst)}
+
+
+@st.composite
+def _argvs(draw, broken):
+    """An argument list of the CLI grammar; ``broken`` mixes in bad values.
+
+    Sizes stay small (few balls, k_max <= 6, a coarse atlas grid) so that
+    each call is quick; the grammar probes exit codes, not time limits.
+    """
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    rational = _rational_texts if broken else _clean_rationals
+    above_one = st.builds("{}/{}".format, st.integers(11, 40), st.just(10))
+    arguments = {
+        "weights": lambda: [draw(rational)],
+        "volume": lambda: [draw(_domain_arg(broken))],
+        "dstar": lambda: ["--lambdas", draw(
+            _ball_list_arg(True) if broken else st.lists(
+                st.builds("{}/{}".format, st.integers(1, 4), st.integers(10, 30)),
+                max_size=3).map(",".join)),
+            "--search-kmax", str(draw(st.integers(-1 if broken else 1, 6)))],
+        "decide": lambda: ["--mu", draw(rational),
+                           "--balls", draw(_ball_list_arg(broken))],
+        "max-equal-ball": lambda: ["--n", str(draw(st.integers(-1 if broken else 1, 30))),
+                                   "--tol", draw(rational)],
+        "certify": lambda: ["--target", draw(_domain_arg(broken)),
+                            "--balls", draw(_ball_list_arg(broken))],
+        "ellipsoid-decide": lambda: ["-a", draw(rational if broken else above_one),
+                                     "--balls", draw(_ball_list_arg(broken))],
+        "directed-check": lambda: ["--file", "inst.json" if not broken else draw(
+            st.sampled_from(("inst.json", "missing.json", "pol.json")))],
+        "decompose": lambda: ["--polarization", "pol.json" if not broken else draw(
+            st.sampled_from(("pol.json", "missing.json")))] + draw(st.sampled_from(
+                ([], ["--balls", "balls.json"], ["--balls", "balls.json", "--pad"])
+                + ((["--balls", "inst.json", "--pad"],) if broken else ()))),
+        "atlas": lambda: ["--amin", draw(st.sampled_from(("1", "11/10", "2", "x"))
+                                         if broken else st.just("11/10")),
+                          "--amax", draw(st.sampled_from(("2", "5/2", "0"))),
+                          "--step", draw(st.sampled_from(("1/4", "1/2", "0", "-1"))
+                                         if broken else st.just("1/4"))],
+    }
+    argv = [name] + arguments[name]()
+    flags = ("--json", "--trace", "--mode optimistic", "--precision 64")
+    if broken:
+        flags += ("--mode other", "--precision 0", "--precision x", "--bogus")
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=2)):
+        argv += flag.split()
+    return argv
+
+
+@st.composite
+def _cli_cases(draw):
+    broken = draw(st.booleans())
+    return draw(_argvs(broken)), draw(_json_files(broken))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cli_cases())
+def test_every_argument_list_ends_in_an_exit_code(tmp_path_factory, case):
+    argv, files = case
+    workdir = tmp_path_factory.getbasetemp() / "cli-contract"
+    workdir.mkdir(exist_ok=True)
+    for name, content in files.items():
+        (workdir / name).write_text(json.dumps(content))
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = run(argv)
+        except SystemExit as exc:        # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in stderr.getvalue()
+    if code == 2 and not stderr.getvalue().startswith("usage:"):
+        assert stderr.getvalue().startswith("sympack: error:")

@@ -229,3 +229,26 @@ def test_move_bound_raises():
     # the same vector on the grid runs to its rejection within the bound
     trace = reduce_vector(vec(1, *([F(34, 100)] * 9)))
     assert trace.reason == reference_reduce(1, [F(34, 100)] * 9)[1]
+
+
+# runs of one repeated ball object, as ``xN`` and ``(c,) * n`` give them
+ball_runs = st.lists(st.tuples(rationals, st.integers(1, 30)), max_size=5).map(
+    lambda runs: [b for c, count in runs for b in [c] * count])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.builds(F, st.integers(1, 60), st.integers(1, 24)), ball_runs,
+       st.booleans())
+def test_decide_on_runs_matches_fraction_reference(mu, balls, strict):
+    verdict = reference_reduce(mu, balls, strict)[0]
+    assert decide_ball_packing(mu, balls, strict) == (verdict == "accepted")
+
+
+def test_max_equal_ball_million_within_budget():
+    # n >= 9 equal balls that pass the volume check need no Cremona move,
+    # so no list of 10^6 entries is built at any bisection step
+    tol = F(1, 10 ** 9)
+    started = time.perf_counter()
+    value = max_equal_ball(10 ** 6, tol)
+    assert time.perf_counter() - started < 1
+    assert value <= F(1, 1000) < value + tol

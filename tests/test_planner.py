@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympack import certifier, toric
 from sympack.planner import (AllocationError, ClosureError, Curve,
@@ -12,7 +14,9 @@ from sympack.planner import (AllocationError, ClosureError, Curve,
                              perturb_allocation, plan_discs,
                              validate_allocation, validate_polarization)
 
-from helpers import rand_polarization
+from helpers import (outcome, rand_polarization, reference_build_pieces,
+                     reference_compute_delta, reference_partition,
+                     reference_perturb, reference_validate_allocation)
 
 F = Fraction
 
@@ -294,3 +298,130 @@ def test_partition_oversized_ball():
 def test_partition_overfull():
     with pytest.raises(PartitionError):
         partition_balls([F(1, 2)] * 10, [F(1, 10)], F(1, 10))
+
+
+# --- the grid planner against the Fraction reference ----------------------
+
+def _fractions(max_num, max_den):
+    return st.builds(F, st.integers(1, max_num), st.integers(1, max_den))
+
+
+@st.composite
+def polarizations(draw):
+    """Valid polarizations of 2-6 curves."""
+    residues = draw(st.lists(_fractions(9, 40), min_size=2, max_size=6))
+    top = max(residues)
+    return Polarization(tuple(Curve(10 * top + draw(_fractions(40, 12)), r)
+                              for r in residues))
+
+
+# where a cross disc sits in its interval: inside, on an end, or outside
+_positions = st.one_of(st.builds(F, st.integers(1, 29), st.just(30)),
+                       st.sampled_from((F(0), F(1), F(-1, 7), F(8, 7))))
+
+
+_inside = st.builds(F, st.integers(1, 29), st.just(30))
+
+
+@st.composite
+def allocations(draw, pol):
+    """Allocations of ``pol``: valid ones, and ones where checks fail."""
+    l = len(pol)
+    alphas = [c.residue for c in pol.curves]
+    broken = draw(st.booleans())
+    # where a cross disc sits in its interval: inside, on an end, or outside
+    positions = (st.one_of(_inside, st.sampled_from((F(0), F(1), F(-1, 7), F(8, 7))))
+                 if broken else _inside)
+    misses = st.sampled_from((0, 0, 0, F(1, 997), -1)) if broken else st.just(0)
+    main, prev, nxt = [], [], []
+    for i, curve in enumerate(pol.curves):
+        a = alphas[i]
+        n = a + draw(positions) * alphas[(i + 1) % l]
+        p = a + draw(positions) * alphas[i - 1]
+        main.append(curve.area - p - n + draw(misses) * curve.area)
+        prev.append(p)
+        nxt.append(n)
+    cut = draw(st.sampled_from((0,) * 6 + (1,))) if broken else 0
+    return DiscAllocation(tuple(main[cut:]), tuple(prev[cut:]), tuple(nxt[cut:]))
+
+
+@st.composite
+def pol_and_alloc(draw):
+    pol = draw(polarizations())
+    return pol, draw(allocations(pol))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pol_and_alloc())
+def test_allocation_checks_match_reference(case):
+    pol, alloc = case
+    assert validate_allocation(pol, alloc) == reference_validate_allocation(pol, alloc)
+    assert outcome(build_pieces, pol, alloc) == outcome(reference_build_pieces,
+                                                        pol, alloc)
+    assert outcome(compute_delta, pol, alloc) == outcome(reference_compute_delta,
+                                                         pol, alloc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pol_and_alloc(), st.data())
+def test_perturb_matches_reference(case, data):
+    pol, alloc = case
+    kind = data.draw(st.sampled_from(("shift", "shift", "off_total", "short")))
+    ok, pieces = outcome(reference_build_pieces, pol, alloc)
+    volumes = ([p.volume for p in pieces] if ok == "ok"
+               else [F(1, 10)] * (2 * len(pol)))
+    targets = list(volumes)
+    # move volume between neighbouring pieces: up to delta/2 is absorbed,
+    # a larger move may leave the intervals
+    ok, delta = outcome(reference_compute_delta, pol, alloc)
+    unit = delta if ok == "ok" else F(1, 1000)
+    for k in range(0, len(targets) - 1):
+        eps = unit * data.draw(st.sampled_from((0, F(1, 2), F(-3, 7), F(40))))
+        targets[k] += eps
+        targets[k + 1] -= eps
+    if kind == "off_total":
+        targets[-1] += F(1, 1000)
+    elif kind == "short":
+        targets.pop()
+    assert outcome(perturb_allocation, pol, alloc, targets) == outcome(
+        reference_perturb, pol, alloc, targets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polarizations())
+def test_plan_matches_reference_pieces(pol):
+    alloc = plan_discs(pol)
+    plan = build_plan(pol, alloc)
+    assert list(plan.pieces) == reference_build_pieces(pol, alloc)
+    assert plan.delta == reference_compute_delta(pol, alloc)
+    assert build_plan(pol) == plan
+    assert sum(p.volume for p in plan.pieces) == pol.implied_volume
+
+
+# few distinct capacities and piece volumes, so that ties are common
+_caps = st.sampled_from((F(0), F(1, 10), F(1, 10), F(1, 5), F(1, 4), F(1, 3),
+                         F(2, 5), F(3, 7), F(1, 2), F(9, 10)))
+_volumes = st.sampled_from((F(1, 50), F(1, 20), F(1, 20), F(1, 10), F(1, 10),
+                            F(3, 20), F(1, 5), F(2, 7)))
+_deltas = st.sampled_from((F(-1, 10), F(0), F(1, 100), F(1, 40), F(1, 10),
+                           F(1, 3)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_caps, max_size=12), st.lists(_volumes, max_size=6), _deltas,
+       st.booleans())
+def test_partition_matches_reference(balls, volumes, delta, pad):
+    assert outcome(partition_balls, balls, volumes, delta, pad=pad) == outcome(
+        reference_partition, balls, volumes, delta, pad=pad)
+
+
+def test_partition_reference_cases_cover_every_error():
+    # each error of partition_balls, with the reference's type and message
+    for args in (([F(1, 10)], [F(1, 10)], 0),
+                 ([F(1, 10)], [], F(1, 10)),
+                 ([F(9, 10)], [F(1, 50)], F(1, 100)),
+                 ([F(1, 2)] * 4, [F(1, 5), F(1, 5)], F(1, 3)),
+                 ([F(1, 10)], [F(1, 5)], F(1, 100))):
+        kind, message = outcome(partition_balls, *args)
+        assert kind is PartitionError
+        assert (kind, message) == outcome(reference_partition, *args)

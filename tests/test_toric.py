@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sympack import toric
+from sympack import planner, toric
 from sympack.certifier import complement, target_volume
 from sympack.lattice import BlowupForm
 from sympack.toric import (Ball, DomainError, Ellipsoid, InvalidParameterError,
@@ -172,3 +172,40 @@ def test_str_round_trip():
     for d in (Ball(F(3, 2)), Ellipsoid(1, F(5, 2)),
               PseudoBall(F(3, 2), F(3, 2), 1, 1), ProjectivePlane(2)):
         assert parse_domain(str(d)) == d
+
+
+def test_domains_keep_fraction_entries():
+    class Sub(F):
+        pass
+
+    half, third = F(1, 2), F(1, 3)
+    # entries that are Fractions already are kept, not copied
+    assert Ball(half).capacity is half
+    e = Ellipsoid(half, third)
+    assert e.a is half and e.b is third
+    t = PseudoBall(F(3, 2), F(3, 2), F(1), F(1))
+    assert validate_pseudo_ball(t.a, t.b, t.alpha, t.beta) == []
+    assert ProjectivePlane(half).scale is half
+    curve = planner.Curve(half, third)
+    assert curve.area is half and curve.residue is third
+    mains = (half, third)
+    assert planner.DiscAllocation(mains, mains, mains).main is mains
+    # anything else becomes an exact Fraction
+    for domain in (Ball("3/2"), Ellipsoid(1, Sub(5, 2)), ProjectivePlane(2),
+                   PseudoBall("3/2", 1.5, 1, True)):
+        values = vars(domain).values()
+        assert all(type(x) is F for x in values)
+    alloc = planner.DiscAllocation([1, "1/2"], (Sub(1, 3), half), (1, 2))
+    assert all(type(x) is F and type(xs) is tuple
+               for xs in (alloc.main, alloc.prev, alloc.next) for x in xs)
+    assert alloc.main == (1, half)
+
+
+def test_nonpositive_fraction_entries_rejected():
+    for make in (lambda: Ball(F(0)), lambda: Ellipsoid(F(1), F(-1, 2)),
+                 lambda: ProjectivePlane(F(-2)),
+                 lambda: PseudoBall(F(3, 2), F(0), F(1), F(1))):
+        with pytest.raises(InvalidParameterError, match="must be > 0"):
+            make()
+    with pytest.raises(InvalidParameterError, match="parameter b = -1/2"):
+        Ellipsoid(F(1), F(-1, 2))
