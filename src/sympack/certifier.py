@@ -15,19 +15,19 @@ ball collection embeds, and the exact decision (``decide_packing``) is the
 Cremona reduction of (mu; complement + balls).
 
 Certificates are one-sided: NOT_CERTIFIED draws no conclusion.  They work
-on runs of one repeated ball object, as ``xN`` and ``[c] * k`` produce
-them: each run is converted and checked once.
+on runs of equal balls (``rationals.runs``), as ``xN`` and ``[c] * k``
+produce them: each run is converted and checked once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import toric
-from .cremona import ReductionTrace, _reduce_grid, _runs, _to_grid
+from .cremona import ReductionTrace, _reduce_grid
 from .lattice import BlowupForm, blowup_terms
+from .rationals import runs, to_grid
 from .weights import _euclid
 
 CONSERVATIVE = "conservative"
@@ -61,11 +61,11 @@ def complement(t: Target) -> tuple[int, int, list[tuple[int, int]]]:
     if isinstance(t, toric.Ball):
         return t.capacity.denominator, t.capacity.numerator, []
     if isinstance(t, toric.Ellipsoid):
-        d, a, (b,) = _to_grid(t.a, (t.b,))
+        d, [[a, b]] = to_grid([t.a, t.b])
         mu = max(a, b)
         return d, mu, _weight_runs(mu, mu - min(a, b))
     if isinstance(t, toric.PseudoBall):
-        d, a, (b, alpha, beta) = _to_grid(t.a, (t.b, t.alpha, t.beta))
+        d, [[a, b, alpha, beta]] = to_grid([t.a, t.b, t.alpha, t.beta])
         mu = alpha + beta
         return d, mu, _weight_runs(alpha, mu - a) + _weight_runs(beta, mu - b)
     raise TypeError(f"unsupported target {t!r}")
@@ -141,15 +141,15 @@ def certify_packing(t: Target, balls, mode: str = CONSERVATIVE,
     volume obstruction (non-strict) holds; every failed check is listed.
     """
     _check_mode(mode)
-    runs = _runs(balls)
-    if any(c <= 0 for c, _ in runs):
+    ball_runs = runs(balls)
+    if any(c <= 0 for c, _ in ball_runs):
         raise ValueError("ball capacities must be > 0")
     threshold = lambda_bound(t, mode, precision)
     capacities: list[Fraction] = []
     checks: list[BallCheck] = []
     reasons: list[str] = []
     squares = Fraction(0)
-    for c, count in runs:
+    for c, count in ball_runs:
         below = c < threshold
         capacities += [c] * count
         checks += [BallCheck(c, below)] * count
@@ -173,17 +173,17 @@ def decide_packing(t: Target, balls) -> ReductionTrace:
     denominators, a complement ball w is w L and a ball b is b d L.  Zero
     balls are left out.
     """
-    d, mu, runs = complement(t)
-    ball_runs = _runs(balls)
+    d, mu, cut = complement(t)
+    ball_runs = runs(balls)
     if any(b < 0 for b, _ in ball_runs):
         raise ValueError("ball capacities must be >= 0")
-    scale = lcm(*(b.denominator for b, _ in ball_runs))
+    scale, [grid] = to_grid([b for b, _ in ball_runs])
     lams: list[int] = []
-    for count, w in runs:
+    for count, w in cut:
         lams += [w * scale] * count
-    for b, count in ball_runs:
-        if b > 0:
-            lams += [b.numerator * d * (scale // b.denominator)] * count
+    for x, (_, count) in zip(grid, ball_runs):
+        if x:
+            lams += [x * d] * count
     return _reduce_grid(mu * scale, mu * scale, lams, False)
 
 

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 from . import __version__, certifier, cremona, lattice, planner, toric, weights
 from .rationals import (INTEGER_LITERAL, RationalParseError,
                         check_precision, decimal_lower, default_precision,
-                        format_rational, parse_rational)
+                        format_rational, parse_rational, runs)
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -26,19 +26,17 @@ EXIT_INVALID = 2
 
 DECIMAL_DIGITS = 12
 MAX_BALLS = 10 ** 6             # balls a ball list may hold, repetitions included
+MAX_ROWS = 10 ** 5              # rows an atlas grid may have
 
 
 _fmt = format_rational
 
 
 def _fmt_all(xs) -> list[str]:
-    """``_fmt`` of each entry, formatting a run of one object only once."""
+    """``_fmt`` of each entry, formatting a run of equal entries only once."""
     texts: list[str] = []
-    last, text = object(), ""
-    for x in xs:
-        if x is not last:
-            last, text = x, _fmt(x)
-        texts.append(text)
+    for x, count in runs(xs):
+        texts += [_fmt(x)] * count
     return texts
 
 
@@ -297,7 +295,11 @@ def cmd_decompose(args):
 
 
 def cmd_atlas(args):
-    """CSV lines, header first, in place of a JSON payload."""
+    """CSV lines, header first, in place of a JSON payload.
+
+    A grid of more than MAX_ROWS rows is a parse error, raised before any
+    row is built.
+    """
     amin = parse_rational(args.amin)
     amax = parse_rational(args.amax)
     step = parse_rational(args.step)
@@ -305,13 +307,19 @@ def cmd_atlas(args):
         raise RationalParseError("amin must be > 1")
     if step <= 0 or amax < amin:
         raise RationalParseError("empty grid")
+    rows = (amax - amin) // step + 1
+    if rows > MAX_ROWS:
+        raise RationalParseError(
+            f"atlas grid has {rows} rows, more than {MAX_ROWS}; "
+            "raise --step or narrow [--amin, --amax]")
     lines = ["a,conservative,optimistic,p,kappa_sq"]
     a = amin
     while a <= amax:
-        cons = certifier.lambda_bound(toric.Ellipsoid(1, a),
-                                      certifier.CONSERVATIVE, args.precision)
-        opt = certifier.lambda_bound(toric.Ellipsoid(1, a),
-                                     certifier.OPTIMISTIC, args.precision)
+        target = toric.Ellipsoid(1, a)
+        cons = certifier.lambda_bound(target, certifier.CONSERVATIVE,
+                                      args.precision)
+        opt = certifier.lambda_bound(target, certifier.OPTIMISTIC,
+                                     args.precision)
         kappa_sq, p = certifier.ellipsoid_bound_parts(a)
         lines.append(f"{_fmt(a)},{decimal_lower(cons, DECIMAL_DIGITS)},"
                      f"{decimal_lower(opt, DECIMAL_DIGITS)},{p},{_fmt(kappa_sq)}")

@@ -9,10 +9,10 @@ entries non-negative and the volume obstruction holds; open balls make the
 volume comparison non-strict (equality is a very full filling).
 
 Integer kernel.  mu and the lambda_i are scaled once to integers over their
-common denominator d, and the moves (sort, defect, move) run on Python ints:
-a move adds the integer defect to four entries, so the vector stays on the
-grid.  A rejection names the first check that fails: a negative entry,
-else the volume check at the terminal step.
+common denominator d (``rationals.to_grid``), and the moves (sort, defect,
+move) run on Python ints: a move adds the integer defect to four entries,
+so the vector stays on the grid.  A rejection names the first check that
+fails: a negative entry, else the volume check at the terminal step.
 
 Termination.  On the grid a negative-defect move lowers mu by at least 1,
 and once mu <= 0 at most one more move ends the reduction.  So with
@@ -38,12 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+
+from .rationals import exact, runs, to_grid
 
 REASON_NEGATIVE = "negative entry"
-# never reported: a move that leaves no entry negative ends with mu >= every
-# entry >= 0, so mu <= 0 then leaves no ball
-REASON_MU_EXHAUSTED = "mu exhausted"
 REASON_VOLUME = "volume"
 
 
@@ -62,23 +60,7 @@ class PackingVector:
             object.__setattr__(self, "mu", Fraction(self.mu))
         lams = self.lambdas
         if type(lams) is not tuple or not {*map(type, lams)} <= {Fraction}:
-            object.__setattr__(self, "lambdas", tuple(
-                l if type(l) is Fraction else Fraction(l) for l in lams))
-
-    def sorted_padded(self) -> "PackingVector":
-        lams = sorted(self.lambdas, reverse=True)
-        while len(lams) < 3:
-            lams.append(Fraction(0))
-        return PackingVector(self.mu, tuple(lams))
-
-    @property
-    def defect(self) -> Fraction:
-        l = self.sorted_padded().lambdas
-        return self.mu - l[0] - l[1] - l[2]
-
-    @property
-    def volume_ok(self) -> bool:
-        return sum((l * l for l in self.lambdas), Fraction(0)) <= self.mu ** 2
+            object.__setattr__(self, "lambdas", tuple(map(exact, lams)))
 
     def __str__(self):
         return f"({self.mu}; {', '.join(str(l) for l in self.lambdas)})"
@@ -105,13 +87,6 @@ class ReductionTrace:
     @property
     def terminal(self) -> PackingVector:
         return self.steps[-1].after if self.steps else None
-
-
-def _to_grid(mu: Fraction, lams) -> tuple[int, int, list[int]]:
-    """(d, mu*d, [l*d]) over the common denominator d of the entries."""
-    d = lcm(mu.denominator, *{l.denominator for l in lams})
-    return (d, mu.numerator * (d // mu.denominator),
-            [l.numerator * (d // l.denominator) for l in lams])
 
 
 def _volume_ok(mu: int, squares: int, strict: bool) -> bool:
@@ -150,17 +125,6 @@ def _run_moves(mu: int, lams: list[int]) -> tuple[str | None, list[tuple]]:
             return REASON_NEGATIVE, states
         lams[0], lams[1], lams[2] = a + delta, b + delta, c
         lams.sort(reverse=True)
-
-
-def cremona_step(v: PackingVector) -> PackingVector:
-    """One move on the sorted vector; identity when the defect is >= 0."""
-    v = v.sorted_padded()
-    delta = v.defect
-    if delta >= 0:
-        return v
-    l = v.lambdas
-    new = (l[0] + delta, l[1] + delta, l[2] + delta) + l[3:]
-    return PackingVector(v.mu + delta, new)
 
 
 class _GridFractions(dict):
@@ -206,31 +170,21 @@ def reduce_vector(v: PackingVector, strict_volume: bool = False) -> ReductionTra
     The moves run even when the volume check fails, so the trace and the
     reason are those of the full reduction.
     """
-    return _reduce_grid(*_to_grid(v.mu, v.lambdas), strict_volume)
-
-
-def _runs(balls) -> list[tuple[Fraction, int]]:
-    """(capacity, count) of each run of one repeated ball object, in order."""
-    runs: list[list] = []              # [ball object, count]
-    for b in balls:
-        if runs and b is runs[-1][0]:
-            runs[-1][1] += 1
-        else:
-            runs.append([b, 1])
-    return [(Fraction(b), count) for b, count in runs]
+    d, ([mu], lams) = to_grid([v.mu], v.lambdas)
+    return _reduce_grid(d, mu, lams, strict_volume)
 
 
 def decide_ball_packing(mu, lambdas, strict_volume: bool = False) -> bool:
     """True iff open balls of the given capacities pack P^2(mu).
 
     Scale-invariant: decide(c*mu, c*lambdas) = decide(mu, lambdas).
-    A failed volume check rejects at once, with no moves.  Each run of one
-    repeated ball object is converted and checked once.
+    A failed volume check rejects at once, with no moves.  Each run of
+    equal balls is converted and checked once.
     """
-    return _decide_runs(mu, _runs(lambdas), strict_volume)
+    return _decide_runs(mu, runs(lambdas), strict_volume)
 
 
-def _decide_runs(mu, runs: list[tuple[Fraction, int]],
+def _decide_runs(mu, ball_runs: list[tuple[Fraction, int]],
                  strict_volume: bool) -> bool:
     """``decide_ball_packing`` of ``count`` balls of capacity c per run (c, count).
 
@@ -242,22 +196,22 @@ def _decide_runs(mu, runs: list[tuple[Fraction, int]],
     mu = Fraction(mu)
     if mu <= 0:
         raise ValueError(f"mu = {mu} must be > 0")
-    if any(l < 0 for l, _ in runs):
+    if any(l < 0 for l, _ in ball_runs):
         raise ValueError("ball capacities must be >= 0")
-    _, mu, grid = _to_grid(mu, [l for l, _ in runs])
-    runs = [(x, count) for x, (_, count) in zip(grid, runs) if x]
-    if not _volume_ok(mu, sum(count * x * x for x, count in runs),
+    _, ([mu], grid) = to_grid([mu], [l for l, _ in ball_runs])
+    grid_runs = [(x, count) for x, (_, count) in zip(grid, ball_runs) if x]
+    if not _volume_ok(mu, sum(count * x * x for x, count in grid_runs),
                       strict_volume):
         return False
     top: list[int] = []
-    for x, count in sorted(runs, reverse=True):
+    for x, count in sorted(grid_runs, reverse=True):
         top += [x] * min(count, 3 - len(top))
         if len(top) == 3:
             break
     if mu >= sum(top):
         return True
     lams: list[int] = []
-    for x, count in runs:
+    for x, count in grid_runs:
         lams += [x] * count
     return _run_moves(mu, lams)[0] is None
 

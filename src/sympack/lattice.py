@@ -65,10 +65,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import NamedTuple
 
-from .rationals import default_precision, sqrt_enclosure
+from .rationals import default_precision, exact_tuple, sqrt_enclosure, to_grid
 
 
 class InfeasibleFormError(ValueError):
@@ -93,13 +93,8 @@ class BlowupForm:
     lambdas: tuple[Fraction, ...]
 
     def __post_init__(self):
-        # entries that already are exact Fractions are kept as they are
-        lams = self.lambdas
-        if type(lams) is not tuple or not {*map(type, lams)} <= {Fraction}:
-            lams = tuple(l if type(l) is Fraction else Fraction(l)
-                         for l in lams)
-            object.__setattr__(self, "lambdas", lams)
-        for l in lams:
+        object.__setattr__(self, "lambdas", exact_tuple(self.lambdas))
+        for l in self.lambdas:
             if not 0 < l.numerator < l.denominator:
                 raise InfeasibleFormError(f"blow-up size {l} outside (0,1)")
         if self.kappa_sq >= 1:
@@ -114,9 +109,8 @@ class BlowupForm:
     def grid(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         """(d, runs): over the lcm d of the denominators, each size is w/d
         for its run (1, w)."""
-        d = lcm(*(l.denominator for l in self.lambdas))
-        return d, tuple((1, l.numerator * (d // l.denominator))
-                        for l in self.lambdas)
+        d, [ws] = to_grid(self.lambdas)
+        return d, tuple((1, w) for w in ws)
 
     @cached_property
     def kappa_sq(self) -> Fraction:
@@ -306,14 +300,14 @@ def d_omega_search(form: BlowupForm, k_max: int,
     if k_max < k_min or k_min < 1:
         raise ValueError(f"bad k range [{k_min}, {k_max}]")
     lams = form.lambdas
-    d = lcm(*(l.denominator for l in lams))
+    d, runs = form.grid
     if d * k_max >= SEARCH_LIMIT:
         raise OverflowError(
             f"lcm(denominators) * k_max = {d * k_max} is not below 2^63, "
             "the limit of the lattice search")
     # equal sizes take the coefficients of the witness in ascending order
     order = sorted(range(len(lams)), key=lambda i: (lams[i], i), reverse=True)
-    n = [lams[i].numerator * (d // lams[i].denominator) for i in order]
+    n = [runs[i][1] for i in order]
     n_sq = sum(x * x for x in n)
     table = _table(len(lams), k_max)
     # lane of row m: sum_i n_i (m_i + k_max) - k_max sum_i n_i + 2^63

@@ -11,7 +11,7 @@ next_i at x_i, with main_i + prev_i + next_i = area_i.
 
 One integer grid.  The areas, residues and disc areas of a polarization
 and its allocation are scaled once by d, the lcm of their denominators,
-as ``cremona._to_grid`` does for a packing vector.  Every allocation
+by ``rationals.to_grid``, as for a packing vector.  Every allocation
 check and piece formula below compares or combines those integers, a
 message is built only for a check that fails, and each public call builds
 its Fractions once, at the end.  The ball partition still works on
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import certifier, toric
-from .rationals import sqrt_lower
+from .rationals import exact, exact_fields, exact_tuple, sqrt_lower, to_grid
 
 CROSS_CONVENTION = ("cross basin T(a_j, a_i, alpha_j, alpha_i); "
                     "disc areas admissible in ]alpha_own, alpha_own+alpha_other[")
@@ -72,7 +72,7 @@ class Curve:
     residue: Fraction
 
     def __post_init__(self):
-        toric._exact_fields(self, "area", "residue")
+        exact_fields(self, "area", "residue")
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class Polarization:
     def __post_init__(self):
         object.__setattr__(self, "curves", tuple(self.curves))
         if self.total_volume is not None:
-            toric._exact_fields(self, "total_volume")
+            exact_fields(self, "total_volume")
 
     def __len__(self):
         return len(self.curves)
@@ -154,11 +154,8 @@ class DiscAllocation:
     next: tuple[Fraction, ...]
 
     def __post_init__(self):
-        # entries that already are exact Fractions are kept as they are
         for name in ("main", "prev", "next"):
-            xs = getattr(self, name)
-            if type(xs) is not tuple or not {*map(type, xs)} <= {Fraction}:
-                object.__setattr__(self, name, tuple(map(toric._exact, xs)))
+            object.__setattr__(self, name, exact_tuple(getattr(self, name)))
         if not len(self.main) == len(self.prev) == len(self.next):
             raise AllocationError("allocation arrays must have equal length")
 
@@ -172,12 +169,6 @@ def _require_valid(pol: Polarization):
             "cyclic disc planning needs at least 2 curves")
 
 
-def _on_grid(*groups) -> tuple[int, list[list[int]]]:
-    """(d, each group as the integers x*d) over the lcm d of every denominator."""
-    d = math.lcm(*{x.denominator for xs in groups for x in xs})
-    return d, [[x.numerator * (d // x.denominator) for x in xs] for xs in groups]
-
-
 class _Grid:
     """A polarization and its allocation as integers over one denominator d.
 
@@ -188,7 +179,7 @@ class _Grid:
     def __init__(self, pol: Polarization, alloc: DiscAllocation, extra=()):
         self.pol, self.alloc = pol, alloc
         self.d, (self.area, self.alpha, self.main, self.prev, self.next,
-                 self.extra) = _on_grid(
+                 self.extra) = to_grid(
             [c.area for c in pol.curves], [c.residue for c in pol.curves],
             alloc.main, alloc.prev, alloc.next, extra)
 
@@ -288,8 +279,8 @@ def plan_discs(pol: Polarization) -> DiscAllocation:
     (alpha_{i-1} + alpha_{i+1}) / 2 is at least 7 max alpha > 0.
     """
     _require_valid(pol)
-    d, (area, alpha) = _on_grid([c.area for c in pol.curves],
-                                [c.residue for c in pol.curves])
+    d, (area, alpha) = to_grid([c.area for c in pol.curves],
+                               [c.residue for c in pol.curves])
     l, den = len(alpha), 2 * d
     nxt = [2 * a + alpha[(i + 1) % l] for i, a in enumerate(alpha)]
     prv = [2 * a + alpha[i - 1] for i, a in enumerate(alpha)]
@@ -332,7 +323,7 @@ def perturb_allocation(pol: Polarization, alloc: DiscAllocation,
     X_j = A_j R_j - Y_j - 2 d T_2j.  Summing these, X_l-1 + Y_0 = 2 d T_2l-1
     whenever the totals agree, so the final cross closes.
     """
-    targets = [t if type(t) is Fraction else Fraction(t) for t in targets]
+    targets = [*map(exact, targets)]
     grid = _valid_grid(pol, alloc, targets)
     if any(r <= 0 for r in grid.alpha):
         grid.pieces()               # raises: a piece is no toric domain
@@ -377,7 +368,7 @@ def compute_delta(pol: Polarization, alloc: DiscAllocation) -> Fraction:
 @dataclass(frozen=True)
 class DecompositionPlan:
     pieces: tuple[Piece, ...]
-    delta: Fraction | None             # None means unconstrained (infinite)
+    delta: Fraction
     lambda_pieces: Fraction
     lambda_prime: Fraction
     mode: str
@@ -391,9 +382,10 @@ def build_plan(pol: Polarization, alloc: DiscAllocation | None = None,
 
     The polarization and the allocation are each validated once.
     """
-    _require_valid(pol)
     if alloc is None:
-        alloc = plan_discs(pol)
+        alloc = plan_discs(pol)        # validates the polarization
+    else:
+        _require_valid(pol)
     grid = _valid_grid(pol, alloc)
     pieces = grid.pieces()
     lam_pieces = min(certifier.lambda_bound(p.domain, mode, precision)

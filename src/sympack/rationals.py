@@ -4,7 +4,8 @@ Every geometric quantity in this package is a ``fractions.Fraction``.  The
 only irrational values that ever appear are square roots inside lower-bound
 formulas; those are replaced by rational one-sided approximations computed
 with integer square roots, so a returned bound is always a *certified*
-lower bound, never a float guess.
+lower bound, never a float guess.  The exact kernels share the integer
+grid (``to_grid``) and the runs of equal balls (``runs``) written here.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
-from math import isqrt
+from itertools import groupby
+from math import isqrt, lcm
 
 DEFAULT_PRECISION_BITS = 128
 MIN_PRECISION_BITS = 4
@@ -81,11 +83,46 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(x) -> str:
     """'p/q', or 'p' for an integer; only a non-Fraction is converted."""
-    if type(x) is not Fraction:
-        x = Fraction(x)
+    x = exact(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def exact(value) -> Fraction:
+    """``value`` itself when it already is a Fraction, else Fraction(value)."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
+def exact_tuple(xs) -> tuple[Fraction, ...]:
+    """``xs`` itself when it is a tuple of Fractions, else a tuple of them."""
+    if type(xs) is tuple and {*map(type, xs)} <= {Fraction}:
+        return xs
+    return tuple(map(exact, xs))
+
+
+def exact_fields(obj, *names):
+    """Make each named field of a frozen dataclass an exact Fraction."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not Fraction:
+            object.__setattr__(obj, name, Fraction(value))
+
+
+def to_grid(*groups) -> tuple[int, list[list[int]]]:
+    """(d, each group as the integers x*d) over the lcm d of every denominator.
+
+    Each group is read twice, so it must be a sequence; no entries give d = 1.
+    """
+    d = lcm(*{x.denominator for xs in groups for x in xs})
+    return d, [[x.numerator * (d // x.denominator) for x in xs] for xs in groups]
+
+
+def runs(xs) -> list[tuple[Fraction, int]]:
+    """(first entry as a Fraction, count) of each run of equal consecutive
+    values; a run of one repeated object costs no comparison, as ``groupby``
+    tests identity first."""
+    return [(exact(x), len(list(group))) for x, group in groupby(xs)]
 
 
 def rational_below(x, max_denominator: int = 10**6) -> Fraction:

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rationals import format_rational, parse_rational
+from .rationals import exact, exact_fields, format_rational, parse_rational
 
 
 class DomainError(ValueError):
@@ -76,19 +76,6 @@ def polytope_area(p: MomentPolytope) -> Fraction:
     return twice / 2
 
 
-def _exact(value) -> Fraction:
-    """``value`` itself when it already is a Fraction, else Fraction(value)."""
-    return value if type(value) is Fraction else Fraction(value)
-
-
-def _exact_fields(domain, *names):
-    """Make each named field of a frozen domain an exact Fraction."""
-    for name in names:
-        value = getattr(domain, name)
-        if type(value) is not Fraction:
-            object.__setattr__(domain, name, Fraction(value))
-
-
 def _require_positive(**params: Fraction):
     for name, value in params.items():
         if value.numerator <= 0:
@@ -101,7 +88,7 @@ def validate_pseudo_ball(a, b, alpha, beta) -> list[str]:
     Non-positive parameters are an input error, raised separately, since
     they are outside the constraint system rather than a boundary case.
     """
-    a, b, alpha, beta = _exact(a), _exact(b), _exact(alpha), _exact(beta)
+    a, b, alpha, beta = exact(a), exact(b), exact(alpha), exact(beta)
     _require_positive(a=a, b=b, alpha=alpha, beta=beta)
     violations = []
     total = alpha + beta
@@ -121,7 +108,7 @@ class Ball:
     capacity: Fraction
 
     def __post_init__(self):
-        _exact_fields(self, "capacity")
+        exact_fields(self, "capacity")
         _require_positive(capacity=self.capacity)
 
     def __str__(self):
@@ -134,7 +121,7 @@ class Ellipsoid:
     b: Fraction
 
     def __post_init__(self):
-        _exact_fields(self, "a", "b")
+        exact_fields(self, "a", "b")
         _require_positive(a=self.a, b=self.b)
 
     def __str__(self):
@@ -149,7 +136,7 @@ class PseudoBall:
     beta: Fraction
 
     def __post_init__(self):
-        _exact_fields(self, "a", "b", "alpha", "beta")
+        exact_fields(self, "a", "b", "alpha", "beta")
         violations = validate_pseudo_ball(self.a, self.b, self.alpha, self.beta)
         if violations:
             raise PseudoBallViolation(violations)
@@ -164,7 +151,7 @@ class ProjectivePlane:
     scale: Fraction
 
     def __post_init__(self):
-        _exact_fields(self, "scale")
+        exact_fields(self, "scale")
         _require_positive(scale=self.scale)
 
     def __str__(self):

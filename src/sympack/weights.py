@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+
+from .rationals import to_grid
 
 
 class WeightError(ValueError):
@@ -93,6 +94,5 @@ def ellipsoid_weights(a, b) -> tuple[Fraction, ...]:
     a, b = Fraction(a), Fraction(b)
     if a <= 0 or b <= 0:
         raise WeightError(f"ellipsoid parameters must be positive, got ({a}, {b})")
-    d = lcm(a.denominator, b.denominator)
-    x, y = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+    d, [[x, y]] = to_grid([a, b])
     return _euclid_weights(max(x, y), min(x, y), d)

@@ -7,10 +7,13 @@ import random
 from fractions import Fraction
 
 from sympack import certifier, planner, toric
-from sympack.cremona import REASON_MU_EXHAUSTED, REASON_NEGATIVE, REASON_VOLUME
+from sympack.cremona import REASON_NEGATIVE, REASON_VOLUME
 from sympack.lattice import BlowupForm
 from sympack.rationals import sqrt_upper
 from sympack.weights import ellipsoid_weights
+
+# the oracle's own reason; the integer kernel can never reach it
+REASON_MU_EXHAUSTED = "mu exhausted"
 
 
 def rand_fraction(rng: random.Random, lo: Fraction, hi: Fraction,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympack import toric
+from sympack import cli, toric
 from sympack.certifier import (CONSERVATIVE, OPTIMISTIC, AxisAssignment,
                                CrossAssignment, FreeEllipsoid,
                                InvalidAssignmentError, certify_packing,
@@ -221,6 +221,23 @@ def test_certify_long_list_within_budget():
     assert time.perf_counter() - started < 0.25
     assert cert.volume_slack == 1 - 10 ** 5 * F(169, 20000)
     assert len(cert.checks) == 10 ** 5
+
+
+def test_certify_separate_equal_objects_within_budget():
+    balls = [F(1, 1000) for _ in range(10 ** 5)]
+    started = time.perf_counter()
+    cert = certify_packing(toric.Ellipsoid(1, 2), balls)
+    assert time.perf_counter() - started < 0.25
+    assert cert.certified and len(cert.checks) == 10 ** 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(targets, ball_lists, modes)
+def test_equal_results_on_separate_equal_objects(t, balls, mode):
+    fresh = [F(b) for b in balls]       # a new object for every entry
+    assert certify_packing(t, fresh, mode) == certify_packing(t, balls, mode)
+    assert decide_packing(t, fresh) == decide_packing(t, balls)
+    assert cli._fmt_all(fresh) == cli._fmt_all(balls)
 
 
 def test_decide_full_fill_two():

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -296,6 +297,25 @@ def test_atlas(capsys):
 def test_atlas_empty_grid(capsys):
     assert run(["atlas", "--amin", "3", "--amax", "2"]) == 2
     assert run(["atlas", "--amin", "1", "--amax", "2"]) == 2
+
+
+def test_atlas_row_limit_exits_two_at_once(capsys):
+    started = time.perf_counter()
+    code = run(["atlas", "--amin", "11/10", "--amax", "10",
+                "--step", "1/1000000"])
+    assert time.perf_counter() - started < 1
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("sympack: error:")
+    assert "8900001 rows" in captured.err and "Traceback" not in captured.err
+
+
+def test_atlas_at_row_limit(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_ROWS", 5)
+    code, out = capture(capsys, ["atlas", "--amin", "2", "--amax", "3",
+                                 "--step", "1/4"])
+    assert code == 0 and len(out.strip().splitlines()) == 1 + 5
+    assert run(["atlas", "--amin", "2", "--amax", "3", "--step", "1/5"]) == 2
 
 
 def _invalid(capsys, argv):

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympack.cremona import (REASON_MU_EXHAUSTED, REASON_NEGATIVE,
-                             REASON_VOLUME, MoveBoundError, PackingVector,
-                             _run_moves, cremona_step, decide_ball_packing,
+from sympack.cremona import (REASON_NEGATIVE, REASON_VOLUME, MoveBoundError,
+                             PackingVector, _run_moves, decide_ball_packing,
                              max_equal_ball, reduce_vector)
 
-from helpers import reference_reduce
+from helpers import REASON_MU_EXHAUSTED, reference_reduce
 
 F = Fraction
 
@@ -21,13 +20,18 @@ def vec(mu, *lams):
     return PackingVector(F(mu), tuple(F(l) for l in lams))
 
 
+def cremona_step(v):
+    """One move on the sorted vector; the sorted vector when its defect >= 0."""
+    return reduce_vector(v).steps[0].after
+
+
 def test_step_examples():
     out = cremona_step(vec(1, F(1, 2), F(1, 2), F(1, 2), F(1, 2)))
     assert out.mu == F(1, 2)
     assert sorted(out.lambdas) == [0, 0, 0, F(1, 2)]
 
     fixed = vec(1, 0, 0, 0)
-    assert cremona_step(fixed) == fixed.sorted_padded()
+    assert cremona_step(fixed) == fixed
 
     out = cremona_step(vec(1, *([F(2, 5)] * 5)))
     assert out.mu == F(4, 5)

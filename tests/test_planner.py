@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympack import certifier, toric
+from sympack import certifier, planner, toric
 from sympack.planner import (AllocationError, ClosureError, Curve,
                              DiscAllocation, PartitionError, Polarization,
                              PolarizationError, basin_of_cross, basin_of_disc,
@@ -212,6 +212,21 @@ def test_build_plan_symmetric():
     assert plan.delta == F(1, 2000)
     assert len(plan.pieces) == 6
     assert "T(a_j, a_i" in plan.convention
+
+
+@pytest.mark.parametrize("given_alloc", [False, True])
+def test_build_plan_validates_the_polarization_once(monkeypatch, given_alloc):
+    pol = symmetric3()
+    alloc = plan_discs(pol) if given_alloc else None
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return validate_polarization(p)
+
+    monkeypatch.setattr(planner, "validate_polarization", counted)
+    build_plan(pol, alloc)
+    assert calls == [pol]
 
 
 def test_lambda_prime_min_semantics():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sympack.rationals import (RationalParseError, format_rational,
-                               parse_rational, sqrt_bounds)
+                               parse_rational, runs, sqrt_bounds, to_grid)
 
 F = Fraction
 
@@ -36,3 +37,24 @@ def test_sqrt_bounds_enclose_the_root(x, bits):
     assert lower * lower <= x <= upper * upper
     assert upper - lower in (0, F(1, x.denominator << bits))
     assert sqrt_bounds(x * x, bits) == (x, x)
+
+
+@given(st.lists(st.lists(st.fractions(), max_size=5), max_size=4))
+def test_to_grid_scales_every_group_by_the_lcm(groups):
+    d, grid = to_grid(*groups)
+    assert d == math.lcm(*(x.denominator for xs in groups for x in xs))
+    assert grid == [[x * d for x in xs] for xs in groups]
+    assert all(type(n) is int for ns in grid for n in ns)
+
+
+def test_to_grid_of_empty_groups():
+    assert to_grid() == (1, [])
+    assert to_grid([], []) == (1, [[], []])
+
+
+def test_runs_group_equal_consecutive_values():
+    half = F(1, 2)
+    found = runs([half, F(1, 2), 1, F(1), "1/3", half])
+    assert found == [(half, 2), (1, 2), (F(1, 3), 1), (half, 1)]
+    assert all(type(x) is F for x, _ in found)
+    assert runs([]) == []
