@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for 4-dimensional symplectic ball packing."""
 
-from .cremona import (PackingVector, ReductionTrace, decide_ball_packing,
-                      max_equal_ball, reduce_vector)
+from .cremona import (PackingVector, ReductionTrace, max_equal_ball,
+                      reduce_vector)
 from .certifier import (Certificate, certify_packing, complement,
                         decide_balls_into_ellipsoid, decide_packing,
                         check_directed_hypotheses, lambda_bound)

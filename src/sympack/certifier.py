@@ -14,6 +14,10 @@ certified lower bound for the capacity below which every volume-admissible
 ball collection embeds, and the exact decision (``decide_packing``) is the
 Cremona reduction of (mu; complement + balls).
 
+``decide_packing`` is the one exact decision for a target; a yes/no caller
+reads ``.accepted``, e.g. balls pack P^2(mu) iff
+``decide_packing(toric.Ball(mu), balls).accepted``.
+
 Certificates are one-sided: NOT_CERTIFIED draws no conclusion.  They work
 on runs of equal balls (``rationals.runs``), as ``xN`` and ``[c] * k``
 produce them: each run is converted and checked once.
@@ -184,7 +188,7 @@ def decide_packing(t: Target, balls) -> ReductionTrace:
     for x, (_, count) in zip(grid, ball_runs):
         if x:
             lams += [x * d] * count
-    return _reduce_grid(mu * scale, mu * scale, lams, False)
+    return _reduce_grid(mu * scale, mu * scale, lams)
 
 
 def decide_balls_into_ellipsoid(a, balls) -> ReductionTrace:

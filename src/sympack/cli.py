@@ -52,7 +52,8 @@ def _bound_json(value: Fraction, precision: int) -> dict:
 def parse_ball_list(text: str) -> list[Fraction]:
     """Comma-separated capacities, each 'p/q' or with 'xN' repetition.
 
-    A list of more than MAX_BALLS balls is a parse error.
+    A negative capacity, or a list of more than MAX_BALLS balls, is a parse
+    error.
     """
     balls: list[Fraction] = []
     for part in text.split(","):
@@ -72,6 +73,8 @@ def parse_ball_list(text: str) -> list[Fraction]:
             if count < 0:
                 raise RationalParseError(f"negative repetition in {part!r}")
         cap = parse_rational(cap_text)
+        if cap < 0:
+            raise RationalParseError(f"negative ball capacity in {part!r}")
         if len(balls) + count > MAX_BALLS:
             raise RationalParseError(
                 f"ball list holds more than {MAX_BALLS} balls (at {part!r})")
@@ -135,6 +138,8 @@ def _decision(args, key: str, value: Fraction, balls,
 
 def cmd_decide(args):
     mu = parse_rational(args.mu)
+    if mu <= 0:
+        raise RationalParseError(f"--mu must be > 0, got {_fmt(mu)}")
     balls = parse_ball_list(args.balls)
     vec = cremona.PackingVector(mu, tuple(b for b in balls if b > 0))
     return _decision(args, "mu", mu, balls, cremona.reduce_vector(vec))
@@ -315,11 +320,9 @@ def cmd_atlas(args):
     lines = ["a,conservative,optimistic,p,kappa_sq"]
     a = amin
     while a <= amax:
-        target = toric.Ellipsoid(1, a)
-        cons = certifier.lambda_bound(target, certifier.CONSERVATIVE,
-                                      args.precision)
-        opt = certifier.lambda_bound(target, certifier.OPTIMISTIC,
-                                     args.precision)
+        opt = certifier.lambda_bound(toric.Ellipsoid(1, a),
+                                     certifier.OPTIMISTIC, args.precision)
+        cons = opt / 2                 # the conservative mode's halving
         kappa_sq, p = certifier.ellipsoid_bound_parts(a)
         lines.append(f"{_fmt(a)},{decimal_lower(cons, DECIMAL_DIGITS)},"
                      f"{decimal_lower(opt, DECIMAL_DIGITS)},{p},{_fmt(kappa_sq)}")

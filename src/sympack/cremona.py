@@ -20,10 +20,12 @@ M = max(mu * d, 0) there are at most M + 1 moves; the kernel raises
 ``MoveBoundError`` rather than exceed that.
 
 Volume.  sum lambda_i^2 against mu^2 is invariant under the moves, and a
-failed volume check always ends in a rejection.  The yes/no callers
-(``decide_ball_packing`` and ``max_equal_ball``) therefore reject at once,
-with no moves, when it fails.  ``reduce_vector`` still runs the moves, so
-that its trace and reason are those of the full reduction.
+failed volume check always ends in a rejection.  A reduction still runs
+the moves then, so that its trace and reason are those of the full
+reduction.  The exact decision for a target is ``certifier.decide_packing``,
+which builds that trace; a yes/no caller reads its ``accepted``.  Only
+``max_equal_ball``, which needs no trace, decides its equal balls with
+the volume and the first defect alone wherever those settle the answer.
 
 Traces.  A trace is built once, from the integer states, after the
 reduction ends (``_reduce_grid``, which ``reduce_vector`` and
@@ -39,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rationals import exact, runs, to_grid
+from .rationals import exact, to_grid
 
 REASON_NEGATIVE = "negative entry"
 REASON_VOLUME = "volume"
@@ -89,11 +91,6 @@ class ReductionTrace:
         return self.steps[-1].after if self.steps else None
 
 
-def _volume_ok(mu: int, squares: int, strict: bool) -> bool:
-    """The volume check of a vector whose squared entries sum to ``squares``."""
-    return squares < mu * mu if strict else squares <= mu * mu
-
-
 def _run_moves(mu: int, lams: list[int]) -> tuple[str | None, list[tuple]]:
     """Cremona moves on the integer grid, up to the first failed check.
 
@@ -139,13 +136,12 @@ class _GridFractions(dict):
         return value
 
 
-def _reduce_grid(d: int, mu: int, lams: list[int],
-                 strict_volume: bool) -> ReductionTrace:
+def _reduce_grid(d: int, mu: int, lams: list[int]) -> ReductionTrace:
     """The reduction of (mu; lams)/d as a trace: moves first, then the steps.
 
     Each distinct integer of the trace becomes one ``Fraction(x, d)``.
     """
-    vol_ok = _volume_ok(mu, sum(l * l for l in lams), strict_volume)
+    vol_ok = sum(l * l for l in lams) <= mu * mu
     reason, states = _run_moves(mu, lams)
     if reason is None and not vol_ok:
         reason = REASON_VOLUME
@@ -164,64 +160,34 @@ def _reduce_grid(d: int, mu: int, lams: list[int],
                           reason, vol_ok)
 
 
-def reduce_vector(v: PackingVector, strict_volume: bool = False) -> ReductionTrace:
+def reduce_vector(v: PackingVector) -> ReductionTrace:
     """Iterate Cremona moves to a verdict; total and always terminating.
 
     The moves run even when the volume check fails, so the trace and the
     reason are those of the full reduction.
     """
     d, ([mu], lams) = to_grid([v.mu], v.lambdas)
-    return _reduce_grid(d, mu, lams, strict_volume)
+    return _reduce_grid(d, mu, lams)
 
 
-def decide_ball_packing(mu, lambdas, strict_volume: bool = False) -> bool:
-    """True iff open balls of the given capacities pack P^2(mu).
+def _equal_balls_fit(n: int, x: int, mu: int) -> bool:
+    """True iff n open balls of capacity x pack P^2(mu), on one integer grid.
 
-    Scale-invariant: decide(c*mu, c*lambdas) = decide(mu, lambdas).
-    A failed volume check rejects at once, with no moves.  Each run of
-    equal balls is converted and checked once.
+    For n >= 9 balls that pass the volume check, 3x <= mu, so the moves run
+    only for n <= 8.
     """
-    return _decide_runs(mu, runs(lambdas), strict_volume)
-
-
-def _decide_runs(mu, ball_runs: list[tuple[Fraction, int]],
-                 strict_volume: bool) -> bool:
-    """``decide_ball_packing`` of ``count`` balls of capacity c per run (c, count).
-
-    The volume comes from the runs as sum count x^2, and the first defect
-    from the three largest entries; the entry list is built only when a
-    Cremona move is needed.  For n >= 9 equal balls that pass the volume
-    check, x <= mu/3, so the first defect is >= 0 and no list is built.
-    """
-    mu = Fraction(mu)
-    if mu <= 0:
-        raise ValueError(f"mu = {mu} must be > 0")
-    if any(l < 0 for l, _ in ball_runs):
-        raise ValueError("ball capacities must be >= 0")
-    _, ([mu], grid) = to_grid([mu], [l for l, _ in ball_runs])
-    grid_runs = [(x, count) for x, (_, count) in zip(grid, ball_runs) if x]
-    if not _volume_ok(mu, sum(count * x * x for x, count in grid_runs),
-                      strict_volume):
+    if n * x * x > mu * mu:
         return False
-    top: list[int] = []
-    for x, count in sorted(grid_runs, reverse=True):
-        top += [x] * min(count, 3 - len(top))
-        if len(top) == 3:
-            break
-    if mu >= sum(top):
-        return True
-    lams: list[int] = []
-    for x, count in grid_runs:
-        lams += [x] * count
-    return _run_moves(mu, lams)[0] is None
+    return min(n, 3) * x <= mu or _run_moves(mu, [x] * n)[0] is None
 
 
 def max_equal_ball(n: int, tol) -> Fraction:
     """Largest capacity (within tol) of n equal balls packing P^2(1).
 
     Binary search over the accepted/rejected threshold; the returned value
-    is accepted and the value plus tol is rejected.  Each step decides one
-    run of n balls, so no n-entry list is built for n >= 9.
+    is accepted and the value plus tol is rejected.  Each step decides the
+    n balls of capacity mid on the grid of mid, with no n-entry list for
+    n >= 9.
     """
     if n < 1:
         raise ValueError("need at least one ball")
@@ -231,7 +197,7 @@ def max_equal_ball(n: int, tol) -> Fraction:
     lo, hi = Fraction(0), Fraction(2)
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if _decide_runs(1, [(mid, n)], False):
+        if _equal_balls_fit(n, mid.numerator, mid.denominator):
             lo = mid
         else:
             hi = mid

@@ -66,6 +66,9 @@ class PartitionError(ValueError):
     pass
 
 
+MAX_FILLERS = 10 ** 5           # filler balls one padded partition may emit
+
+
 @dataclass(frozen=True)
 class Curve:
     area: Fraction
@@ -417,8 +420,9 @@ def partition_balls(balls, piece_volumes, delta, pad: bool = False) -> Partition
 
     ``balls`` are capacities; a ball of capacity c has volume c^2/2.  With
     ``pad`` the remaining deficits are filled exactly by synthetic balls of
-    volume < delta each.  Raises if any subset ends further than delta from
-    its piece volume.
+    volume < delta each; a padding of more than MAX_FILLERS fillers is
+    refused before any is built.  Raises if any subset ends further than
+    delta from its piece volume.
     """
     delta = Fraction(delta)
     if delta <= 0:
@@ -446,8 +450,18 @@ def partition_balls(balls, piece_volumes, delta, pad: bool = False) -> Partition
 
     fillers: list[Filler] = []
     if pad:
-        for j, (t, f) in enumerate(zip(targets, filled)):
-            deficit = t - f
+        deficits = [t - f for t, f in zip(targets, filled)]
+        # a deficit D > 0 takes delta/2 chunks while it exceeds delta, then
+        # one last filler: max(ceil(2D/delta) - 2, 0) + 1 fillers, with the
+        # ceiling taken on integers
+        n, m = delta.numerator, delta.denominator
+        count = sum(max(-(-2 * d.numerator * m // (d.denominator * n)) - 2, 0)
+                    + 1 for d in deficits if d.numerator > 0)
+        if count > MAX_FILLERS:
+            raise PartitionError(
+                f"padding needs {count} filler balls, more than {MAX_FILLERS}; "
+                "add balls to fill the pieces")
+        for j, deficit in enumerate(deficits):
             while deficit > 0:
                 chunk = min(deficit, delta / 2) if deficit > delta else deficit
                 fillers.append(Filler(j, chunk))

@@ -28,7 +28,7 @@ def rand_fraction(rng: random.Random, lo: Fraction, hi: Fraction,
     return Fraction(rng.randint(lo_num, hi_num), den)
 
 
-def reference_reduce(mu, lambdas, strict_volume: bool = False):
+def reference_reduce(mu, lambdas):
     """The Cremona reduction written plainly on Fractions, as a test oracle.
 
     Returns (verdict, reason, volume_ok, steps) with each step a tuple
@@ -37,8 +37,7 @@ def reference_reduce(mu, lambdas, strict_volume: bool = False):
     vector before re-sorting.
     """
     mu, lams = Fraction(mu), [Fraction(l) for l in lambdas]
-    total, top = sum(l * l for l in lams), mu * mu
-    vol_ok = total < top if strict_volume else total <= top
+    vol_ok = sum(l * l for l in lams) <= mu * mu
     lams = sorted(lams, reverse=True)
     steps = []
     if any(l < 0 for l in lams):
@@ -337,7 +336,8 @@ def reference_compute_delta(pol, alloc) -> Fraction:
 
 
 def reference_partition(balls, piece_volumes, delta, pad=False):
-    """``planner.partition_balls`` on Fractions, one deficit list per ball."""
+    """``planner.partition_balls`` on Fractions, one deficit list per ball;
+    the padding is counted by emitting it."""
     delta = Fraction(delta)
     if delta <= 0:
         raise planner.PartitionError("delta must be > 0")
@@ -369,6 +369,10 @@ def reference_partition(balls, piece_volumes, delta, pad=False):
                 fillers.append(planner.Filler(j, chunk))
                 filled[j] += chunk
                 deficit -= chunk
+        if len(fillers) > planner.MAX_FILLERS:
+            raise planner.PartitionError(
+                f"padding needs {len(fillers)} filler balls, more than "
+                f"{planner.MAX_FILLERS}; add balls to fill the pieces")
     for j, (t, f) in enumerate(zip(targets, filled)):
         if abs(t - f) > delta:
             raise planner.PartitionError(

@@ -12,7 +12,7 @@ from sympack import certifier, planner, toric
 from sympack.certifier import (CONSERVATIVE, certify_packing,
                                decide_balls_into_ellipsoid, decide_packing,
                                lambda_bound)
-from sympack.cremona import decide_ball_packing, max_equal_ball
+from sympack.cremona import max_equal_ball
 from sympack.lattice import BlowupForm, d_omega_bound, d_omega_search
 from sympack.rationals import rational_below
 from sympack.weights import continued_fraction, weight_count, weight_sequence
@@ -83,7 +83,7 @@ def test_criterion_4_certifier_soundness():
             continue
         # the blow-up must actually exist: the lambda balls themselves
         # have to pack the plane, Sum(lambda^2) < 1 alone is not enough
-        if not decide_ball_packing(1, lams):
+        if not decide_packing(toric.Ball(1), lams).accepted:
             continue
         target = BlowupForm(lams)
         thr = lambda_bound(target, CONSERVATIVE, 64)
@@ -94,7 +94,7 @@ def test_criterion_4_certifier_soundness():
         cert = certify_packing(target, [cap] * k, CONSERVATIVE, 64)
         if not cert.certified:
             continue
-        assert decide_ball_packing(1, lams + (cap,) * k), (lams, cap, k)
+        assert decide_packing(target, [cap] * k).accepted, (lams, cap, k)
         checked += 1
     while checked < 10000:         # ellipsoid targets
         a = 1 + F(rng.randint(1, 12), rng.randint(4, 12))

@@ -31,8 +31,12 @@ def test_parse_ball_list():
     assert parse_ball_list("1/2,1/3") == [F(1, 2), F(1, 3)]
     assert parse_ball_list("13/100x3") == [F(13, 100)] * 3
     assert parse_ball_list("1,2/5x2,3") == [1, F(2, 5), F(2, 5), 3]
+    assert parse_ball_list("0,0x3") == [0] * 4
     with pytest.raises(RationalParseError):
         parse_ball_list("0.5")
+    for text in ("-1/2", "1/2,-1/3x2", "-0x0,-1"):
+        with pytest.raises(RationalParseError, match="negative ball capacity"):
+            parse_ball_list(text)
 
 
 @pytest.mark.parametrize("text", ["1/2x1_000", "1/2x ３", "1/2x", "1/2x3x"])
@@ -324,6 +328,31 @@ def _invalid(capsys, argv):
     assert code == 2
     assert err.startswith("sympack: error:") and "Traceback" not in err
     return err
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "--mu", "1", "--balls=-1/2,1/2"],
+    ["decide", "--mu", "0", "--balls", "0"],
+    ["decide", "--mu=-1", "--balls", "1/2"],
+    ["ellipsoid-decide", "-a", "2", "--balls=1/2,-1/3x2"],
+    ["certify", "--target", "E(1,2)", "--balls=-1/10"],
+])
+def test_negative_or_zero_sizes_exit_two(capsys, argv):
+    _invalid(capsys, argv)
+
+
+def test_decompose_padding_limit_exit_two(capsys, tmp_path):
+    # delta is 1/200000 here, so padding would emit 237,994 fillers
+    pol = tmp_path / "pol.json"
+    pol.write_text(json.dumps(
+        {"curves": [{"area": "40", "residue": "1/100"}] * 3}))
+    balls = tmp_path / "balls.json"
+    balls.write_text(json.dumps(["1/10"]))
+    started = time.perf_counter()
+    err = _invalid(capsys, ["decompose", "--polarization", str(pol),
+                            "--balls", str(balls), "--pad"])
+    assert time.perf_counter() - started < 1
+    assert "237994 filler balls" in err
 
 
 def test_invalid_precision_exit_two(capsys, monkeypatch):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympack.certifier import decide_packing
 from sympack.cremona import (REASON_NEGATIVE, REASON_VOLUME, MoveBoundError,
-                             PackingVector, _run_moves, decide_ball_packing,
+                             PackingVector, _equal_balls_fit, _run_moves,
                              max_equal_ball, reduce_vector)
+from sympack.toric import Ball
 
 from helpers import REASON_MU_EXHAUSTED, reference_reduce
 
@@ -18,6 +20,11 @@ F = Fraction
 
 def vec(mu, *lams):
     return PackingVector(F(mu), tuple(F(l) for l in lams))
+
+
+def fits(mu, balls):
+    """The yes/no decision: do the open balls pack P^2(mu)?"""
+    return decide_packing(Ball(mu), balls).accepted
 
 
 def cremona_step(v):
@@ -80,23 +87,17 @@ def test_volume_rejection_reason():
 
 
 def test_decide_examples():
-    assert decide_ball_packing(1, [F(1, 2)] * 4)
-    assert decide_ball_packing(1, [1])
+    assert fits(1, [F(1, 2)] * 4)
+    assert fits(1, [1])
     raised = [F(2, 5)] * 4 + [F(2, 5) + F(1, 1000)]
-    assert not decide_ball_packing(1, raised)
+    assert not fits(1, raised)
 
 
 def test_decide_validates_input():
     with pytest.raises(ValueError):
-        decide_ball_packing(0, [F(1, 2)])
+        fits(0, [F(1, 2)])
     with pytest.raises(ValueError):
-        decide_ball_packing(1, [F(-1, 2)])
-
-
-def test_strict_volume_mode():
-    # very full filling: accepted open, rejected closed
-    assert decide_ball_packing(1, [1])
-    assert reduce_vector(vec(1, 1), strict_volume=True).reason == REASON_VOLUME
+        fits(1, [F(-1, 2)])
 
 
 def test_scale_invariance():
@@ -105,8 +106,8 @@ def test_scale_invariance():
         n = rng.randint(1, 6)
         lams = [F(rng.randint(0, 10), 17) for _ in range(n)]
         c = F(rng.randint(1, 30), rng.randint(1, 30))
-        assert (decide_ball_packing(1, lams)
-                == decide_ball_packing(c, [c * l for l in lams]))
+        assert (fits(1, lams)
+                == fits(c, [c * l for l in lams]))
 
 
 def test_permutation_invariance():
@@ -116,7 +117,7 @@ def test_permutation_invariance():
         lams = [F(rng.randint(0, 10), 19) for _ in range(n)]
         shuffled = lams[:]
         rng.shuffle(shuffled)
-        assert decide_ball_packing(1, lams) == decide_ball_packing(1, shuffled)
+        assert fits(1, lams) == fits(1, shuffled)
 
 
 def test_shrink_monotonicity():
@@ -125,10 +126,10 @@ def test_shrink_monotonicity():
     while checked < 300:
         n = rng.randint(1, 6)
         lams = [F(rng.randint(1, 12), 25) for _ in range(n)]
-        if not decide_ball_packing(1, lams):
+        if not fits(1, lams):
             continue
         smaller = [l * F(rng.randint(0, 10), 10) for l in lams]
-        assert decide_ball_packing(1, [l for l in smaller if l > 0] or [0])
+        assert fits(1, [l for l in smaller if l > 0] or [0])
         checked += 1
 
 
@@ -156,11 +157,11 @@ def _trace_tuple(trace):
 
 
 @settings(max_examples=400, deadline=None)
-@given(vectors, st.booleans())
-def test_kernel_matches_fraction_reference(vector, strict):
+@given(vectors)
+def test_kernel_matches_fraction_reference(vector):
     mu, lams = vector
-    trace = reduce_vector(PackingVector(mu, tuple(lams)), strict_volume=strict)
-    verdict, reason, vol_ok, steps = reference_reduce(mu, lams, strict)
+    trace = reduce_vector(PackingVector(mu, tuple(lams)))
+    verdict, reason, vol_ok, steps = reference_reduce(mu, lams)
     assert _trace_tuple(trace) == (verdict, reason, vol_ok, steps)
     # the reference checks "mu exhausted" too; it never fires
     assert trace.reason != REASON_MU_EXHAUSTED
@@ -169,7 +170,7 @@ def test_kernel_matches_fraction_reference(vector, strict):
     moves = sum(1 for step in steps if step[2] < 0)
     assert moves <= max(mu * d, 0) + 1
     if mu > 0 and all(l >= 0 for l in lams):
-        assert decide_ball_packing(mu, lams, strict) == trace.accepted
+        assert fits(mu, lams) == trace.accepted
 
 
 def test_decide_agrees_with_trace_on_volume_failures():
@@ -178,13 +179,12 @@ def test_decide_agrees_with_trace_on_volume_failures():
     for _ in range(400):
         n = rng.randint(1, 12)
         lams = [F(rng.randint(1, 30), rng.randint(20, 60)) for _ in range(n)]
-        for strict in (False, True):
-            trace = reduce_vector(vec(1, *lams), strict_volume=strict)
-            if trace.volume_ok:
-                continue
-            failures += 1
-            assert not trace.accepted
-            assert decide_ball_packing(1, lams, strict) == trace.accepted
+        trace = reduce_vector(vec(1, *lams))
+        if trace.volume_ok:
+            continue
+        failures += 1
+        assert not trace.accepted
+        assert fits(1, lams) == trace.accepted
     assert failures > 50
 
 
@@ -212,9 +212,9 @@ def test_reduce_many_balls_within_budget():
 
 
 def test_decide_many_balls_within_budget():
-    # one run of 10^6 equal balls is converted and checked once
+    # one run of 10^6 equal balls is converted once, trace included
     started = time.perf_counter()
-    assert decide_ball_packing(1000, [F(1, 1000)] * 10 ** 6)
+    assert fits(1000, [F(1, 1000)] * 10 ** 6)
     assert time.perf_counter() - started < 1
 
 
@@ -241,11 +241,17 @@ ball_runs = st.lists(st.tuples(rationals, st.integers(1, 30)), max_size=5).map(
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.builds(F, st.integers(1, 60), st.integers(1, 24)), ball_runs,
-       st.booleans())
-def test_decide_on_runs_matches_fraction_reference(mu, balls, strict):
-    verdict = reference_reduce(mu, balls, strict)[0]
-    assert decide_ball_packing(mu, balls, strict) == (verdict == "accepted")
+@given(st.builds(F, st.integers(1, 60), st.integers(1, 24)), ball_runs)
+def test_decide_on_runs_matches_fraction_reference(mu, balls):
+    verdict = reference_reduce(mu, balls)[0]
+    assert fits(mu, balls) == (verdict == "accepted")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 60), st.integers(1, 120))
+def test_equal_balls_fit_matches_fraction_reference(n, x, mu):
+    verdict = reference_reduce(mu, [x] * n)[0]
+    assert _equal_balls_fit(n, x, mu) == (verdict == "accepted")
 
 
 def test_max_equal_ball_million_within_budget():

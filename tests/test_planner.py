@@ -305,6 +305,18 @@ def test_partition_pad_fillers_below_delta():
     assert all(f.volume < F(1, 10) for f in res.fillers)
 
 
+def test_partition_pad_filler_limit(monkeypatch):
+    # deficits 1 and 3/10 at delta 1/10 take 19 and 5 fillers
+    args = ([], [F(1), F(3, 10)], F(1, 10))
+    assert len(partition_balls(*args, pad=True).fillers) == 24
+    monkeypatch.setattr(planner, "MAX_FILLERS", 24)
+    assert len(partition_balls(*args, pad=True).fillers) == 24
+    monkeypatch.setattr(planner, "MAX_FILLERS", 23)
+    kind, message = outcome(partition_balls, *args, pad=True)
+    assert kind is PartitionError and "needs 24 filler balls" in message
+    assert (kind, message) == outcome(reference_partition, *args, pad=True)
+
+
 def test_partition_oversized_ball():
     with pytest.raises(PartitionError):
         partition_balls([1], [F(1, 10)], F(1, 100))
