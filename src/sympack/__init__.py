@@ -5,8 +5,8 @@ from .cremona import (PackingVector, ReductionTrace, max_equal_ball,
 from .certifier import (Certificate, certify_packing, complement,
                         decide_balls_into_ellipsoid, decide_packing,
                         check_directed_hypotheses, lambda_bound)
-from .lattice import (BlowupForm, HomologyClass, blowup_bound,
-                      class_invariants, d_omega_bound, d_omega_search)
+from .lattice import (BlowupForm, HomologyClass, class_invariants,
+                      d_omega_bound, d_omega_search)
 from .planner import (Curve, DiscAllocation, Polarization, basin_of_cross,
                       basin_of_disc, build_plan, liouville_flow,
                       partition_balls, perturb_allocation, plan_discs,

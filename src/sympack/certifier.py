@@ -8,11 +8,14 @@ weights of E(max - min, max) (McDuff-Schlenk, arXiv:0912.0532); and
 T(a,b,alpha,beta) is P^2(alpha+beta) minus the weights of
 E(alpha+beta-a, alpha) and E(alpha+beta-b, beta) (Cristofaro-Gardiner,
 arXiv:1409.4378).  Weights come as the runs of Euclid's algorithm, so an
-ellipsoid costs O(log) runs and is never expanded.  From that one map the
-threshold (``lambda_bound``) is the blow-up bound of the complement, a
-certified lower bound for the capacity below which every volume-admissible
-ball collection embeds, and the exact decision (``decide_packing``) is the
-Cremona reduction of (mu; complement + balls).
+ellipsoid costs O(log) runs and is never expanded.  Thresholds,
+certificates and decisions all come from that one map: the threshold
+(``lambda_bound``) is the blow-up bound of the complement, a certified
+lower bound for the capacity below which every volume-admissible ball
+collection embeds; a certificate (``certify_packing``) checks the balls
+against that threshold and against the complement's volume
+(mu^2 - sum count w^2) / (2 d^2); and the exact decision
+(``decide_packing``) is the Cremona reduction of (mu; complement + balls).
 
 ``decide_packing`` is the one exact decision for a target; a yes/no caller
 reads ``.accepted``, e.g. balls pack P^2(mu) iff
@@ -43,12 +46,6 @@ _MODES = (CONSERVATIVE, OPTIMISTIC)
 BlowupTarget = BlowupForm    # a p-fold blow-up of P^2(1) is its form
 
 Target = BlowupForm | toric.Ellipsoid | toric.PseudoBall | toric.Ball
-
-
-def target_volume(t: Target) -> Fraction:
-    if isinstance(t, BlowupForm):
-        return t.volume
-    return toric.volume(t)
 
 
 def _check_mode(mode: str):
@@ -108,11 +105,16 @@ def lambda_bound(t: Target, mode: str = CONSERVATIVE,
     the target.
     """
     _check_mode(mode)
-    halve = 2 if mode == CONSERVATIVE else 1
     d, mu, runs = complement(t)
-    squares, p = _kappa_terms(runs)
+    return _threshold(d, mu, *_kappa_terms(runs), mode, precision)
+
+
+def _threshold(d: int, mu: int, squares: int, p: int, mode: str,
+               precision: int | None) -> Fraction:
+    """The blow-up bound of P^2(mu/d) minus p balls of sum count w^2 =
+    squares, scaled by mu/d and halved in conservative mode."""
     num, den = blowup_terms(squares, mu * mu, p, precision)
-    return Fraction(mu * num, d * den * halve)
+    return Fraction(mu * num, d * den * (2 if mode == CONSERVATIVE else 1))
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,6 @@ class Certificate:
     target: Target
     lambda_threshold: Fraction
     mode: str
-    balls: tuple[Fraction, ...]
     checks: tuple[BallCheck, ...]
     volume_slack: Fraction
     verdict: str                       # "CERTIFIED" | "NOT_CERTIFIED"
@@ -143,29 +144,33 @@ def certify_packing(t: Target, balls, mode: str = CONSERVATIVE,
 
     CERTIFIED iff every capacity is strictly below the threshold and the
     volume obstruction (non-strict) holds; every failed check is listed.
+    With the balls x/L on the grid L, the slack vol(t) - sum c^2/2 is
+    ((mu^2 - sum count w^2) L^2 - d^2 sum x^2) / (2 d^2 L^2).
     """
     _check_mode(mode)
     ball_runs = runs(balls)
     if any(c <= 0 for c, _ in ball_runs):
         raise ValueError("ball capacities must be > 0")
-    threshold = lambda_bound(t, mode, precision)
-    capacities: list[Fraction] = []
+    d, mu, cut = complement(t)
+    squares, p = _kappa_terms(cut)
+    threshold = _threshold(d, mu, squares, p, mode, precision)
+    scale, [grid] = to_grid([c for c, _ in ball_runs])
     checks: list[BallCheck] = []
     reasons: list[str] = []
-    squares = Fraction(0)
-    for c, count in ball_runs:
+    ball_squares = 0
+    for (c, count), x in zip(ball_runs, grid):
         below = c < threshold
-        capacities += [c] * count
         checks += [BallCheck(c, below)] * count
         if not below:
             reasons += [f"capacity {c} >= threshold {threshold}"] * count
-        squares += Fraction(count * c.numerator ** 2, c.denominator ** 2)
-    slack = target_volume(t) - squares / 2
+        ball_squares += count * x * x
+    slack = Fraction((mu * mu - squares) * scale * scale
+                     - d * d * ball_squares, 2 * d * d * scale * scale)
     if slack < 0:
         reasons.append(f"volume obstruction fails by {-slack}")
     verdict = "CERTIFIED" if not reasons else "NOT_CERTIFIED"
-    return Certificate(t, threshold, mode, tuple(capacities), tuple(checks),
-                       slack, verdict, tuple(reasons))
+    return Certificate(t, threshold, mode, tuple(checks), slack, verdict,
+                       tuple(reasons))
 
 
 def decide_packing(t: Target, balls) -> ReductionTrace:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -161,11 +162,14 @@ def cmd_max_equal_ball(args):
             "capacity_decimal": decimal_lower(value, DECIMAL_DIGITS)}, EXIT_OK
 
 
+_BLOWUP_RE = re.compile(r"\s*blowup\s*\(([^()]*)\)\s*", re.IGNORECASE)
+
+
 def _parse_target(text: str) -> certifier.Target:
-    text = text.strip()
-    if text.lower().startswith("blowup"):
-        inner = text[text.index("(") + 1:text.rindex(")")]
-        return lattice.BlowupForm(tuple(parse_ball_list(inner)))
+    """Blowup(<ball list>), any case, or a domain that is not P2."""
+    blowup = _BLOWUP_RE.fullmatch(text)
+    if blowup:
+        return lattice.BlowupForm(tuple(parse_ball_list(blowup.group(1))))
     domain = toric.parse_domain(text)
     if isinstance(domain, toric.ProjectivePlane):
         raise toric.DomainError(
@@ -181,7 +185,7 @@ def cmd_certify(args):
         "target": str(cert.target),
         "mode": cert.mode,
         "lambda_threshold": _bound_json(cert.lambda_threshold, args.precision),
-        "balls": _fmt_all(cert.balls),
+        "balls": _fmt_all(chk.capacity for chk in cert.checks),
         "ball_checks": [chk.below_threshold for chk in cert.checks],
         "volume_slack": _fmt(cert.volume_slack),
         "verdict": cert.verdict,

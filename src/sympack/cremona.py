@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rationals import exact, to_grid
+from .rationals import exact_fields, exact_tuple, to_grid
 
 REASON_NEGATIVE = "negative entry"
 REASON_VOLUME = "volume"
@@ -57,12 +57,8 @@ class PackingVector:
     lambdas: tuple[Fraction, ...]
 
     def __post_init__(self):
-        # entries that already are exact Fractions are kept as they are
-        if type(self.mu) is not Fraction:
-            object.__setattr__(self, "mu", Fraction(self.mu))
-        lams = self.lambdas
-        if type(lams) is not tuple or not {*map(type, lams)} <= {Fraction}:
-            object.__setattr__(self, "lambdas", tuple(map(exact, lams)))
+        exact_fields(self, "mu")
+        object.__setattr__(self, "lambdas", exact_tuple(self.lambdas))
 
     def __str__(self):
         return f"({self.mu}; {', '.join(str(l) for l in self.lambdas)})"

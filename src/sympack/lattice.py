@@ -22,11 +22,11 @@ ratio (k d - D)/(d c).  Four facts cut the classes it has to look at:
 2. One value of k per class.  For fixed m the ratio (k d - D)/(d(3k - S))
    has a k-derivative of the sign of 3D - dS, so it is monotone in k, and
    ratio - 1/3 = (dS - 3D)/(3 d c).  A class with 3D <= dS thus never
-   goes below 1/3, the ratio of k L, which is admissible at k_min; the
-   search starts from k L and skips such classes.  Every other class has
-   its smallest ratio at its lowest admissible k, max(k_min,
-   ceil sqrt(norm), ceil((S+2)/3)), as long as that is <= k_max.  Ratios
-   are compared by integer cross-multiplication.
+   goes below 1/3, the ratio of L, which is admissible at k = 1; the
+   search starts from L and skips such classes.  Every other class has
+   its smallest ratio at its lowest admissible k, max(ceil sqrt(norm),
+   ceil((S+2)/3)), as long as that is <= k_max.  Ratios are compared by
+   integer cross-multiplication.
 3. Dominance pruning.  Let m, m' be non-increasing with the same sum and
    partial sums P_j >= P'_j.  By Abel summation D = sum_j P_j (n_j - n_j+1)
    with n_p+1 = 0, and every n_j - n_j+1 >= 0 for descending positive n,
@@ -153,22 +153,11 @@ def blowup_terms(kappa_num: int, kappa_den: int, p: int,
     return (kappa_den << bits) - k_up, kappa_den * ((3 << bits) + p_up)
 
 
-def blowup_bound(kappa_sq, p: int, precision: int | None = None) -> Fraction:
-    """Certified lower bound (1-kappa)/(3+sqrt(p)) for kappa^2 = kappa_sq.
-
-    kappa and sqrt(p) are replaced by rational upper bounds, so the
-    returned Fraction never exceeds the true value; it is built from the
-    integer terms of ``blowup_terms`` with one normalization.  Square roots
-    of 0 are exact, so kappa^2 = p = 0 (no blow-up) gives 1/3.
-    """
-    kappa_sq = Fraction(kappa_sq)
-    return Fraction(*blowup_terms(kappa_sq.numerator, kappa_sq.denominator,
-                                  p, precision))
-
-
 def d_omega_bound(form: BlowupForm, precision: int | None = None) -> Fraction:
     """The blow-up bound of the form; 1/3 exactly for the empty form."""
-    return blowup_bound(form.kappa_sq, form.p, precision)
+    kappa_sq = form.kappa_sq
+    return Fraction(*blowup_terms(kappa_sq.numerator, kappa_sq.denominator,
+                                  form.p, precision))
 
 
 @dataclass(frozen=True)
@@ -283,22 +272,20 @@ def _table(p: int, k_max: int) -> _Table:
 
 
 def d_omega_search(form: BlowupForm, k_max: int,
-                   k_min: int = 1,
                    check_area_excess: bool = False) -> SearchResult:
-    """Exact minimum of area/Chern over classes with k in [k_min, k_max].
+    """Exact minimum of area/Chern over classes with k in [1, k_max].
 
     The minimum runs over every (k; m_1..m_p) with sum m_i^2 <= k^2
     (negative m_i included), area > 0 and Chern >= 2; the module docstring
-    shows why the sorted, pruned table of ``_table`` reaches it.  The
-    k-range may be partitioned across workers and the results combined by
-    taking the minimum.  With ``check_area_excess`` every class with
-    positive square is additionally verified to satisfy area > k(1-kappa).
+    shows why the sorted, pruned table of ``_table`` reaches it.  With
+    ``check_area_excess`` every class with positive square is additionally
+    verified to satisfy area > k(1-kappa).
     Raises ``OverflowError`` when lcm(denominators) * k_max >= 2^63,
     ``TableSizeError`` when the table of (p, k_max) would exceed
     ``ROW_LIMIT`` rows, and ``AreaExcessError`` when the check fails.
     """
-    if k_max < k_min or k_min < 1:
-        raise ValueError(f"bad k range [{k_min}, {k_max}]")
+    if k_max < 1:
+        raise ValueError(f"bad k range [1, {k_max}]")
     lams = form.lambdas
     d, runs = form.grid
     if d * k_max >= SEARCH_LIMIT:
@@ -316,22 +303,21 @@ def d_omega_search(form: BlowupForm, k_max: int,
         packed += x * column
     dots = array("Q", packed.to_bytes(8 * len(table.rows), sys.byteorder))
 
-    best_area, best_chern, best = d, 3, None        # k L at k_min: 1/3
+    best_area, best_chern, best = d, 3, None        # L: 1/3
     for start, stop, s, lowest, kc_sq in table.groups:
         top = dots[start] if stop - start == 1 else max(dots[start:stop])
         dot = top - SEARCH_LIMIT
         if check_area_excess and dot > 0 and dot * dot >= kc_sq * n_sq:
             raise AreaExcessError(
                 f"area excess inequality fails at k={isqrt(kc_sq)}, dot={dot}")
-        k = lowest if lowest > k_min else k_min
-        if 3 * dot <= d * s or k > k_max:
+        if 3 * dot <= d * s or lowest > k_max:
             continue
-        area, chern = k * d - dot, 3 * k - s
+        area, chern = lowest * d - dot, 3 * lowest - s
         if area * best_chern < best_area * chern:
             best_area, best_chern = area, chern
-            best = (k, dots.index(top, start, stop))
+            best = (lowest, dots.index(top, start, stop))
 
-    k, witness = k_min, [0] * len(lams)
+    k, witness = 1, [0] * len(lams)
     if best is not None:
         k, row = best
         for i, m in zip(order, table.rows[row]):

@@ -403,10 +403,6 @@ class Filler:
     piece: int
     volume: Fraction
 
-    @property
-    def capacity_sq(self) -> Fraction:
-        return 2 * self.volume
-
 
 @dataclass
 class PartitionResult:

@@ -128,6 +128,11 @@ def reference_lambda_bound(t, mode, precision=None) -> Fraction:
     return bound / 2 if mode == certifier.CONSERVATIVE else bound
 
 
+def reference_volume(t) -> Fraction:
+    """vol(t) from ``BlowupForm.volume`` or ``toric.volume``, not the complement."""
+    return t.volume if isinstance(t, BlowupForm) else toric.volume(t)
+
+
 def reference_certify_packing(t, balls, mode, precision=None):
     """The certificate of ``certifier.certify_packing``, one ball at a time."""
     capacities = tuple(Fraction(b) for b in balls)
@@ -135,14 +140,14 @@ def reference_certify_packing(t, balls, mode, precision=None):
         raise ValueError("ball capacities must be > 0")
     threshold = reference_lambda_bound(t, mode, precision)
     checks = tuple(certifier.BallCheck(b, b < threshold) for b in capacities)
-    slack = certifier.target_volume(t) - sum((b * b for b in capacities),
-                                             Fraction(0)) / 2
+    slack = reference_volume(t) - sum((b * b for b in capacities),
+                                      Fraction(0)) / 2
     reasons = [f"capacity {chk.capacity} >= threshold {threshold}"
                for chk in checks if not chk.below_threshold]
     if slack < 0:
         reasons.append(f"volume obstruction fails by {-slack}")
     return certifier.Certificate(
-        t, threshold, mode, capacities, checks, slack,
+        t, threshold, mode, checks, slack,
         "NOT_CERTIFIED" if reasons else "CERTIFIED", tuple(reasons))
 
 

@@ -13,8 +13,7 @@ from sympack.certifier import (CONSERVATIVE, OPTIMISTIC, AxisAssignment,
                                InvalidAssignmentError, certify_packing,
                                check_directed_hypotheses,
                                decide_balls_into_ellipsoid, decide_packing,
-                               ellipsoid_bound_parts, lambda_bound,
-                               target_volume)
+                               ellipsoid_bound_parts, lambda_bound)
 from sympack.cremona import PackingVector, reduce_vector
 from sympack.lattice import BlowupForm, d_omega_bound
 from sympack.weights import ellipsoid_weights
@@ -336,8 +335,8 @@ def test_decide_ellipsoid_many_balls_within_budget():
 
 
 def test_target_volume():
-    assert target_volume(toric.Ellipsoid(1, 2)) == 1
-    assert target_volume(BlowupForm((F(1, 2),))) == F(3, 8)
+    assert toric.volume(toric.Ellipsoid(1, 2)) == 1
+    assert BlowupForm((F(1, 2),)).volume == F(3, 8)
 
 
 def test_directed_simple():

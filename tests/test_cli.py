@@ -143,6 +143,23 @@ def test_p2_not_a_target(capsys):
     assert run(["certify", "--target", "P2(2)", "--balls", "1/10"]) == 2
 
 
+@pytest.mark.parametrize("target", ["Blowup(1/2) junk", "blowupXYZ(1/2)"])
+def test_blowup_target_with_junk_exits_two(capsys, target):
+    _invalid(capsys, ["certify", "--target", target, "--balls", "1/10"])
+
+
+@pytest.mark.parametrize("target, shown", [
+    ("Blowup()", "Blowup()"),
+    ("Blowup(1/2,1/3)", "Blowup(1/2,1/3)"),
+    ("blowup(1/2x2)", "Blowup(1/2,1/2)"),
+])
+def test_blowup_target_forms_accepted(capsys, target, shown):
+    code, out = capture(capsys, ["certify", "--target", target,
+                                 "--balls", "1/10"])
+    assert code in (0, 1)
+    assert json.loads(out)["target"] == shown
+
+
 def test_ellipsoid_decide(capsys):
     code, out = capture(capsys, ["ellipsoid-decide", "-a", "5/2",
                                  "--balls", "1,1,1/2,1/2", "--trace"])
@@ -433,17 +450,31 @@ def test_cli_import_leaves_numpy_out():
         env=dict(os.environ, PYTHONPATH=str(src)), check=True, timeout=60)
 
 
+# exit code of each pinned report that does not exit 0
+PINNED_EXIT_CODES = {"certify_blowup.txt": 1, "certify_volume_fails.txt": 1,
+                     "certify_pseudo_ball.txt": 1}
+
+
 @pytest.mark.parametrize("argv, golden", [
     (["decompose", "--polarization", "examples/pol.json",
       "--balls", "examples/balls.json", "--pad"], "decompose_examples.txt"),
     (["decompose", "--polarization", "tests/golden/pol_ties.json",
       "--balls", "tests/golden/balls_ties.json", "--pad",
       "--mode", "optimistic"], "decompose_ties.txt"),
+    (["certify", "--target", "E(1,2)", "--balls", "13/100x100",
+      "--mode", "optimistic"], "certify_ellipsoid.txt"),
+    (["certify", "--target", "Blowup(1/2,1/3)", "--balls", "1/10x3"],
+     "certify_blowup.txt"),
+    # fails only the volume check, by 111/20000
+    (["certify", "--target", "E(1,2)", "--balls", "13/100x119",
+      "--mode", "optimistic"], "certify_volume_fails.txt"),
+    (["certify", "--target", "T(3/2,3/2,1,1)", "--balls", "1/10x5,1/7x3",
+      "--precision", "17"], "certify_pseudo_ball.txt"),
 ])
 def test_decompose_report_is_pinned(capsys, monkeypatch, argv, golden):
     monkeypatch.chdir(REPO)
     code, out = capture(capsys, argv + ["--json"])
-    assert code == 0
+    assert code == PINNED_EXIT_CODES.get(golden, 0)
     masked = re.sub(r'"elapsed_s": [^,]+,', '"elapsed_s": "masked",', out)
     assert masked == (GOLDEN / golden).read_text()
 

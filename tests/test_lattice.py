@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sympack import lattice
 from sympack.lattice import (ROW_LIMIT, AreaExcessError, BlowupForm,
                              HomologyClass, InfeasibleFormError,
-                             TableSizeError, blowup_bound, class_invariants,
+                             TableSizeError, blowup_terms, class_invariants,
                              d_omega_bound, d_omega_search)
 
 from helpers import reference_blowup_bound
@@ -19,12 +19,12 @@ from helpers import reference_blowup_bound
 F = Fraction
 
 
-def brute_force_min(lams, k_max, k_min=1):
+def brute_force_min(lams, k_max):
     """Independent reference: direct product enumeration, pure Fractions."""
     lams = tuple(F(l) for l in lams)
     p = len(lams)
     best = None
-    for k in range(k_min, k_max + 1):
+    for k in range(1, k_max + 1):
         r = math.isqrt(k * k)
         for m in itertools.product(range(-r, r + 1), repeat=p):
             if sum(x * x for x in m) > k * k:
@@ -77,7 +77,6 @@ def test_class_invariants_length_mismatch():
 
 def test_bound_examples():
     assert d_omega_bound(BlowupForm(())) == F(1, 3)
-    assert blowup_bound(0, 0) == F(1, 3)
     assert d_omega_bound(BlowupForm((F(1, 2),))) == F(1, 8)
     with pytest.raises(InfeasibleFormError):
         BlowupForm((F(3, 5), F(4, 5)))
@@ -136,14 +135,6 @@ def test_search_monotone_in_kmax():
         prev = val
 
 
-def test_search_partition_combines_by_min():
-    form = BlowupForm((F(1, 2), F(1, 3)))
-    full = d_omega_search(form, 6).value
-    lo = d_omega_search(form, 3, k_min=1).value
-    hi = d_omega_search(form, 6, k_min=4).value
-    assert min(lo, hi) == full
-
-
 def test_search_dominates_bound():
     rng = random.Random(37)
     for _ in range(25):
@@ -159,8 +150,6 @@ def test_search_dominates_bound():
 def test_search_bad_range():
     with pytest.raises(ValueError):
         d_omega_search(BlowupForm((F(1, 2),)), 0)
-    with pytest.raises(ValueError):
-        d_omega_search(BlowupForm((F(1, 2),)), 3, k_min=4)
 
 
 sizes = st.builds(lambda num, den: F(min(num, den - 1), den),
@@ -177,39 +166,27 @@ def forms(max_p):
     return st.lists(sizes, max_size=max_p).map(form)
 
 
-def k_ranges(max_k):
-    return st.integers(1, max_k).flatmap(
-        lambda k_max: st.tuples(st.integers(1, k_max), st.just(k_max)))
+@settings(max_examples=60, deadline=None)
+@given(forms(4), st.integers(1, 4))
+def test_search_matches_brute_force_on_k_ranges(form, k_max):
+    assert (d_omega_search(form, k_max).value
+            == brute_force_min(form.lambdas, k_max))
 
 
 @settings(max_examples=60, deadline=None)
-@given(forms(4), k_ranges(4), st.data())
-def test_search_matches_brute_force_on_k_ranges(form, k_range, data):
-    k_min, k_max = k_range
-    whole = d_omega_search(form, k_max, k_min).value
-    assert whole == brute_force_min(form.lambdas, k_max, k_min)
-    split = data.draw(st.integers(k_min, k_max))
-    if split < k_max:
-        parts = (d_omega_search(form, split, k_min),
-                 d_omega_search(form, k_max, split + 1))
-        assert min(r.value for r in parts) == whole
-
-
-@settings(max_examples=60, deadline=None)
-@given(forms(6), k_ranges(8), st.data())
-def test_search_value_ignores_order(form, k_range, data):
+@given(forms(6), st.integers(1, 8), st.data())
+def test_search_value_ignores_order(form, k_max, data):
     shuffled = BlowupForm(tuple(data.draw(st.permutations(form.lambdas))))
-    assert (d_omega_search(shuffled, k_range[1], k_range[0]).value
-            == d_omega_search(form, k_range[1], k_range[0]).value)
+    assert (d_omega_search(shuffled, k_max).value
+            == d_omega_search(form, k_max).value)
 
 
 @settings(max_examples=100, deadline=None)
-@given(forms(6), k_ranges(8))
-def test_search_witness_attains_value(form, k_range):
-    k_min, k_max = k_range
-    res = d_omega_search(form, k_max, k_min, check_area_excess=True)
+@given(forms(6), st.integers(1, 8))
+def test_search_witness_attains_value(form, k_max):
+    res = d_omega_search(form, k_max, check_area_excess=True)
     self_int, chern, area = class_invariants(res.witness, form)
-    assert k_min <= res.witness.k <= k_max
+    assert 1 <= res.witness.k <= k_max
     assert self_int >= 0 and chern >= 2
     assert area / chern == res.value
 
@@ -230,7 +207,8 @@ precisions = st.sampled_from((None, 4, 17, 64))
 @given(st.fractions(0, 1).filter(lambda x: x < 1), st.integers(0, 200),
        precisions)
 def test_blowup_bound_matches_reference(kappa_sq, p, precision):
-    assert blowup_bound(kappa_sq, p, precision) == reference_blowup_bound(
+    assert F(*blowup_terms(kappa_sq.numerator, kappa_sq.denominator, p,
+                           precision)) == reference_blowup_bound(
         kappa_sq, p, precision)
 
 

@@ -4,14 +4,14 @@ from fractions import Fraction
 import pytest
 
 from sympack import planner, toric
-from sympack.certifier import complement, target_volume
+from sympack.certifier import complement
 from sympack.lattice import BlowupForm
 from sympack.toric import (Ball, DomainError, Ellipsoid, InvalidParameterError,
                            MomentPolytope, ProjectivePlane, PseudoBall,
                            PseudoBallViolation, moment_polytope, parse_domain,
                            polytope_area, validate_pseudo_ball, volume)
 
-from helpers import rand_fraction, rand_pseudo_ball
+from helpers import rand_fraction, rand_pseudo_ball, reference_volume
 
 F = Fraction
 
@@ -137,7 +137,7 @@ def test_complement_volume_identity_randomized():
         d, mu, runs = complement(t)
         assert all(count > 0 and w > 0 for count, w in runs)
         assert (F(mu * mu - sum(c * w * w for c, w in runs), 2 * d * d)
-                == target_volume(t))
+                == reference_volume(t))
 
 
 def test_moment_polytope_shapes():
