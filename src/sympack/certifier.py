@@ -8,7 +8,14 @@ weights of E(max - min, max) (McDuff-Schlenk, arXiv:0912.0532); and
 T(a,b,alpha,beta) is P^2(alpha+beta) minus the weights of
 E(alpha+beta-a, alpha) and E(alpha+beta-b, beta) (Cristofaro-Gardiner,
 arXiv:1409.4378).  Weights come as the runs of Euclid's algorithm, so an
-ellipsoid costs O(log) runs and is never expanded.  Thresholds,
+ellipsoid costs O(log) runs and is never expanded.
+
+Each target caches its complement: the map and its sums sum count w^2 and
+sum count are the target's ``complement`` property (``toric.Complement``),
+built on its first lookup and kept with the object.  So a target object,
+such as a plan's piece, pays for its complement once however many
+thresholds, certificates and decisions read it; a freshly built equal
+target builds its own.  Thresholds,
 certificates and decisions all come from that one map: the threshold
 (``lambda_bound``) is the blow-up bound of the complement, a certified
 lower bound for the capacity below which every volume-admissible ball
@@ -35,7 +42,6 @@ from . import toric
 from .cremona import ReductionTrace, _reduce_grid
 from .lattice import BlowupForm, blowup_terms
 from .rationals import runs, to_grid
-from .weights import _euclid
 
 CONSERVATIVE = "conservative"
 OPTIMISTIC = "optimistic"
@@ -56,34 +62,8 @@ def _check_mode(mode: str):
 def complement(t: Target) -> tuple[int, int, list[tuple[int, int]]]:
     """(d, mu, runs): t is P^2(mu/d) minus ``count`` balls of capacity w/d
     for each run (count, w); (mu^2 - sum count w^2) / (2 d^2) = vol(t)."""
-    if isinstance(t, BlowupForm):
-        d, runs = t.grid
-        return d, d, list(runs)
-    if isinstance(t, toric.Ball):
-        return t.capacity.denominator, t.capacity.numerator, []
-    if isinstance(t, toric.Ellipsoid):
-        d, [[a, b]] = to_grid([t.a, t.b])
-        mu = max(a, b)
-        return d, mu, _weight_runs(mu, mu - min(a, b))
-    if isinstance(t, toric.PseudoBall):
-        d, [[a, b, alpha, beta]] = to_grid([t.a, t.b, t.alpha, t.beta])
-        mu = alpha + beta
-        return d, mu, _weight_runs(alpha, mu - a) + _weight_runs(beta, mu - b)
-    raise TypeError(f"unsupported target {t!r}")
-
-
-def _weight_runs(x: int, y: int) -> list[tuple[int, int]]:
-    """(count, w) runs of the weights of E(x, y); none when y = 0."""
-    return list(_euclid(max(x, y), min(x, y)))
-
-
-def _kappa_terms(runs) -> tuple[int, int]:
-    """(sum count w^2, sum count) of the runs: kappa^2 mu^2 and p."""
-    squares = p = 0
-    for count, w in runs:
-        squares += count * w * w
-        p += count
-    return squares, p
+    d, mu, cut, _, _ = t.complement
+    return d, mu, list(cut)
 
 
 def ellipsoid_bound_parts(c: Fraction) -> tuple[Fraction, int]:
@@ -91,9 +71,8 @@ def ellipsoid_bound_parts(c: Fraction) -> tuple[Fraction, int]:
     c = Fraction(c)
     if c <= 1:
         raise ValueError(f"need c > 1, got {c}")
-    _, mu, runs = complement(toric.Ellipsoid(1, c))
-    squares, p = _kappa_terms(runs)
-    return Fraction(squares, mu * mu), p
+    cut = toric.Ellipsoid(1, c).complement
+    return cut.kappa_sq, cut.p
 
 
 def lambda_bound(t: Target, mode: str = CONSERVATIVE,
@@ -105,16 +84,16 @@ def lambda_bound(t: Target, mode: str = CONSERVATIVE,
     the target.
     """
     _check_mode(mode)
-    d, mu, runs = complement(t)
-    return _threshold(d, mu, *_kappa_terms(runs), mode, precision)
+    return _threshold(t.complement, mode, precision)
 
 
-def _threshold(d: int, mu: int, squares: int, p: int, mode: str,
+def _threshold(cut: toric.Complement, mode: str,
                precision: int | None) -> Fraction:
-    """The blow-up bound of P^2(mu/d) minus p balls of sum count w^2 =
-    squares, scaled by mu/d and halved in conservative mode."""
-    num, den = blowup_terms(squares, mu * mu, p, precision)
-    return Fraction(mu * num, d * den * (2 if mode == CONSERVATIVE else 1))
+    """The blow-up bound of the complement, scaled by mu/d and halved in
+    conservative mode."""
+    num, den = blowup_terms(cut.squares, cut.mu * cut.mu, cut.p, precision)
+    return Fraction(cut.mu * num,
+                    cut.d * den * (2 if mode == CONSERVATIVE else 1))
 
 
 @dataclass(frozen=True)
@@ -151,9 +130,9 @@ def certify_packing(t: Target, balls, mode: str = CONSERVATIVE,
     ball_runs = runs(balls)
     if any(c <= 0 for c, _ in ball_runs):
         raise ValueError("ball capacities must be > 0")
-    d, mu, cut = complement(t)
-    squares, p = _kappa_terms(cut)
-    threshold = _threshold(d, mu, squares, p, mode, precision)
+    cut = t.complement
+    d, mu, squares = cut.d, cut.mu, cut.squares
+    threshold = _threshold(cut, mode, precision)
     scale, [grid] = to_grid([c for c, _ in ball_runs])
     checks: list[BallCheck] = []
     reasons: list[str] = []
@@ -182,7 +161,7 @@ def decide_packing(t: Target, balls) -> ReductionTrace:
     denominators, a complement ball w is w L and a ball b is b d L.  Zero
     balls are left out.
     """
-    d, mu, cut = complement(t)
+    d, mu, cut, _, _ = t.complement
     ball_runs = runs(balls)
     if any(b < 0 for b, _ in ball_runs):
         raise ValueError("ball capacities must be >= 0")

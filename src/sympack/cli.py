@@ -324,12 +324,13 @@ def cmd_atlas(args):
     lines = ["a,conservative,optimistic,p,kappa_sq"]
     a = amin
     while a <= amax:
-        opt = certifier.lambda_bound(toric.Ellipsoid(1, a),
-                                     certifier.OPTIMISTIC, args.precision)
+        target = toric.Ellipsoid(1, a)
+        opt = certifier.lambda_bound(target, certifier.OPTIMISTIC, args.precision)
         cons = opt / 2                 # the conservative mode's halving
-        kappa_sq, p = certifier.ellipsoid_bound_parts(a)
+        cut = target.complement        # cached by lambda_bound
         lines.append(f"{_fmt(a)},{decimal_lower(cons, DECIMAL_DIGITS)},"
-                     f"{decimal_lower(opt, DECIMAL_DIGITS)},{p},{_fmt(kappa_sq)}")
+                     f"{decimal_lower(opt, DECIMAL_DIGITS)},{cut.p},"
+                     f"{_fmt(cut.kappa_sq)}")
         a += step
     return lines, EXIT_OK
 

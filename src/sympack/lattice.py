@@ -68,7 +68,9 @@ from itertools import accumulate
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .rationals import default_precision, exact_tuple, sqrt_enclosure, to_grid
+from .rationals import (default_precision, exact_tuple, runs, sqrt_enclosure,
+                        to_grid)
+from .toric import Complement
 
 
 class InfeasibleFormError(ValueError):
@@ -94,10 +96,8 @@ class BlowupForm:
 
     def __post_init__(self):
         object.__setattr__(self, "lambdas", exact_tuple(self.lambdas))
-        for l in self.lambdas:
-            if not 0 < l.numerator < l.denominator:
-                raise InfeasibleFormError(f"blow-up size {l} outside (0,1)")
-        if self.kappa_sq >= 1:
+        cut = self.complement           # checks each size
+        if cut.squares >= cut.d * cut.d:
             raise InfeasibleFormError(
                 f"sum of squared sizes {self.kappa_sq} >= 1: cannot blow up")
 
@@ -106,16 +106,33 @@ class BlowupForm:
         return len(self.lambdas)
 
     @cached_property
+    def complement(self) -> Complement:
+        """P^2(1) minus the balls: over the lcm d of the denominators, each
+        size is w/d for its run (1, w), one run per entry.
+
+        Each run of equal entries is checked, put on the grid and summed
+        once (``rationals.runs``).
+        """
+        sizes = runs(self.lambdas)
+        d, [ws] = to_grid([l for l, _ in sizes])
+        entries: list[tuple[int, int]] = []
+        squares = 0
+        for w, (l, count) in zip(ws, sizes):
+            if not 0 < w < d:
+                raise InfeasibleFormError(f"blow-up size {l} outside (0,1)")
+            entries += [(1, w)] * count
+            squares += count * w * w
+        return Complement(d, d, tuple(entries), squares, len(entries))
+
+    @property
     def grid(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """(d, runs): over the lcm d of the denominators, each size is w/d
-        for its run (1, w)."""
-        d, [ws] = to_grid(self.lambdas)
-        return d, tuple((1, w) for w in ws)
+        """(d, runs) of the complement: each size is w/d for its run (1, w)."""
+        d, _, entries, _, _ = self.complement
+        return d, entries
 
     @cached_property
     def kappa_sq(self) -> Fraction:
-        d, runs = self.grid
-        return Fraction(sum(w * w for _, w in runs), d * d)
+        return self.complement.kappa_sq
 
     @property
     def volume(self) -> Fraction:
@@ -155,9 +172,8 @@ def blowup_terms(kappa_num: int, kappa_den: int, p: int,
 
 def d_omega_bound(form: BlowupForm, precision: int | None = None) -> Fraction:
     """The blow-up bound of the form; 1/3 exactly for the empty form."""
-    kappa_sq = form.kappa_sq
-    return Fraction(*blowup_terms(kappa_sq.numerator, kappa_sq.denominator,
-                                  form.p, precision))
+    cut = form.complement
+    return Fraction(*blowup_terms(cut.squares, cut.d * cut.d, cut.p, precision))
 
 
 @dataclass(frozen=True)
@@ -287,14 +303,14 @@ def d_omega_search(form: BlowupForm, k_max: int,
     if k_max < 1:
         raise ValueError(f"bad k range [1, {k_max}]")
     lams = form.lambdas
-    d, runs = form.grid
+    d, entries = form.grid
     if d * k_max >= SEARCH_LIMIT:
         raise OverflowError(
             f"lcm(denominators) * k_max = {d * k_max} is not below 2^63, "
             "the limit of the lattice search")
     # equal sizes take the coefficients of the witness in ascending order
     order = sorted(range(len(lams)), key=lambda i: (lams[i], i), reverse=True)
-    n = [runs[i][1] for i in order]
+    n = [entries[i][1] for i in order]
     n_sq = sum(x * x for x in n)
     table = _table(len(lams), k_max)
     # lane of row m: sum_i n_i (m_i + k_max) - k_max sum_i n_i + 2^63

@@ -14,8 +14,7 @@ and its allocation are scaled once by d, the lcm of their denominators,
 by ``rationals.to_grid``, as for a packing vector.  Every allocation
 check and piece formula below compares or combines those integers, a
 message is built only for a check that fails, and each public call builds
-its Fractions once, at the end.  The ball partition still works on
-Fractions.
+its Fractions once, at the end.
 
 One piece-volume formula.  With alpha_i the residue of curve i, the
 ellipsoid E_i has volume main_i alpha_i / 2 and the cross T_i between
@@ -419,53 +418,59 @@ def partition_balls(balls, piece_volumes, delta, pad: bool = False) -> Partition
     volume < delta each; a padding of more than MAX_FILLERS fillers is
     refused before any is built.  Raises if any subset ends further than
     delta from its piece volume.
+
+    The capacities, piece volumes and delta go on one grid d, and every
+    volume is taken as an integer over 2 d^2: a ball x/d has volume x^2, a
+    piece volume t/d is 2 d t, and delta = e/d is 2 d e, so delta/2 is the
+    integer d e.  Every check, the greedy choice and the padding compare
+    those integers; Fractions are built for the returned volumes and for
+    messages only.
     """
-    delta = Fraction(delta)
+    delta = exact(delta)
     if delta <= 0:
         raise PartitionError("delta must be > 0")
-    caps = [Fraction(b) for b in balls]
-    vols = [c * c / 2 for c in caps]
-    targets = [Fraction(v) for v in piece_volumes]
+    caps = [*map(exact, balls)]
+    targets = [*map(exact, piece_volumes)]
     if not targets:
         raise PartitionError("no pieces to fill")
+    d, (xs, ts, [e]) = to_grid(caps, targets, [delta])
+    g, half = 2 * d * d, d * e
+    vols = [x * x for x in xs]
+    deficits = [2 * d * t for t in ts]
+    largest = max(deficits) + 2 * half
     for i, v in enumerate(vols):
-        if all(v > t + delta for t in targets):
-            raise PartitionError(
-                f"ball {i} (volume {v}) exceeds every piece volume + delta")
-    if sum(vols, Fraction(0)) > sum(targets, Fraction(0)):
+        if v > largest:
+            raise PartitionError(f"ball {i} (volume {Fraction(v, g)}) "
+                                 "exceeds every piece volume + delta")
+    if sum(vols) > sum(deficits):
         raise PartitionError("total ball volume exceeds total piece volume")
 
-    order = sorted(range(len(caps)), key=lambda i: vols[i], reverse=True)
     subsets: list[list[int]] = [[] for _ in targets]
-    filled = [Fraction(0)] * len(targets)
-    for i in order:
-        deficits = [t - f for t, f in zip(targets, filled)]
-        j = max(range(len(targets)), key=lambda k: (deficits[k], -k))
+    for i in sorted(range(len(vols)), key=vols.__getitem__, reverse=True):
+        j = deficits.index(max(deficits))       # the first largest deficit
         subsets[j].append(i)
-        filled[j] += vols[i]
+        deficits[j] -= vols[i]
 
     fillers: list[Filler] = []
     if pad:
-        deficits = [t - f for t, f in zip(targets, filled)]
-        # a deficit D > 0 takes delta/2 chunks while it exceeds delta, then
-        # one last filler: max(ceil(2D/delta) - 2, 0) + 1 fillers, with the
-        # ceiling taken on integers
-        n, m = delta.numerator, delta.denominator
-        count = sum(max(-(-2 * d.numerator * m // (d.denominator * n)) - 2, 0)
-                    + 1 for d in deficits if d.numerator > 0)
+        # a deficit r > 0 takes delta/2 chunks while it exceeds delta, then
+        # one last filler: max(ceil(r / (delta/2)) - 2, 0) chunks
+        chunks = {j: max(-(-r // half) - 2, 0)
+                  for j, r in enumerate(deficits) if r > 0}
+        count = sum(chunks.values()) + len(chunks)
         if count > MAX_FILLERS:
             raise PartitionError(
                 f"padding needs {count} filler balls, more than {MAX_FILLERS}; "
                 "add balls to fill the pieces")
-        for j, deficit in enumerate(deficits):
-            while deficit > 0:
-                chunk = min(deficit, delta / 2) if deficit > delta else deficit
-                fillers.append(Filler(j, chunk))
-                filled[j] += chunk
-                deficit -= chunk
+        half_delta = Fraction(half, g)
+        for j, n in chunks.items():
+            fillers += [Filler(j, half_delta)] * n
+            fillers.append(Filler(j, Fraction(deficits[j] - n * half, g)))
+            deficits[j] = 0
 
-    for j, (t, f) in enumerate(zip(targets, filled)):
-        if abs(t - f) > delta:
+    filled = [Fraction(2 * d * t - r, g) for t, r in zip(ts, deficits)]
+    for j, (t, f, r) in enumerate(zip(targets, filled, deficits)):
+        if abs(r) > 2 * half:
             raise PartitionError(
                 f"piece {j}: subset volume {f} misses target {t} by more "
                 f"than delta = {delta}; pass pad=True or add balls")

@@ -4,6 +4,10 @@ scaled projective planes, and their moment polytopes and exact volumes.
 A domain here is identified with its moment-polytope image under
 (pi|z|^2, pi|w|^2); symplectic volume equals Euclidean area of that image,
 computed exactly by the shoelace formula.
+
+A ball, an ellipsoid and a pseudo-ball are also projective planes with
+balls cut out, on integers: the ``complement`` of each (see
+``certifier``) is built on its first lookup and kept with the object.
 """
 
 from __future__ import annotations
@@ -11,8 +15,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
-from .rationals import exact, exact_fields, format_rational, parse_rational
+from .rationals import (exact, exact_fields, format_rational, parse_rational,
+                        to_grid)
+from .weights import _euclid
 
 
 class DomainError(ValueError):
@@ -32,6 +40,38 @@ class PseudoBallViolation(DomainError):
 
 
 Point = tuple[Fraction, Fraction]
+
+
+class Complement(NamedTuple):
+    """P^2(mu/d) minus ``count`` balls of capacity w/d for each run
+    (count, w), with squares = sum count w^2 and p = sum count; its volume
+    is (mu^2 - squares) / (2 d^2)."""
+
+    d: int
+    mu: int
+    runs: tuple[tuple[int, int], ...]
+    squares: int
+    p: int
+
+    @property
+    def kappa_sq(self) -> Fraction:
+        """The share sum count w^2 / mu^2 of P^2(mu/d) that is cut out."""
+        return Fraction(self.squares, self.mu * self.mu)
+
+
+def complement_of(d: int, mu: int, runs) -> Complement:
+    """The complement of the given runs in P^2(mu/d), its sums taken once."""
+    runs = tuple(runs)
+    squares = p = 0
+    for count, w in runs:
+        squares += count * w * w
+        p += count
+    return Complement(d, mu, runs, squares, p)
+
+
+def _weight_runs(x: int, y: int):
+    """(count, w) runs of the weights of E(x, y); none when y = 0."""
+    return _euclid(max(x, y), min(x, y))
 
 
 @dataclass(frozen=True)
@@ -111,6 +151,12 @@ class Ball:
         exact_fields(self, "capacity")
         _require_positive(capacity=self.capacity)
 
+    @cached_property
+    def complement(self) -> Complement:
+        """B(c) is P^2(c) with nothing cut out."""
+        c = self.capacity
+        return complement_of(c.denominator, c.numerator, ())
+
     def __str__(self):
         return f"B({format_rational(self.capacity)})"
 
@@ -123,6 +169,14 @@ class Ellipsoid:
     def __post_init__(self):
         exact_fields(self, "a", "b")
         _require_positive(a=self.a, b=self.b)
+
+    @cached_property
+    def complement(self) -> Complement:
+        """E(a,b) is P^2(max) minus the weights of E(max - min, max)
+        (McDuff-Schlenk, arXiv:0912.0532)."""
+        d, [[a, b]] = to_grid([self.a, self.b])
+        mu = max(a, b)
+        return complement_of(d, mu, _weight_runs(mu, mu - min(a, b)))
 
     def __str__(self):
         return f"E({format_rational(self.a)},{format_rational(self.b)})"
@@ -140,6 +194,16 @@ class PseudoBall:
         violations = validate_pseudo_ball(self.a, self.b, self.alpha, self.beta)
         if violations:
             raise PseudoBallViolation(violations)
+
+    @cached_property
+    def complement(self) -> Complement:
+        """T(a,b,alpha,beta) is P^2(alpha+beta) minus the weights of
+        E(alpha+beta-a, alpha) and E(alpha+beta-b, beta)
+        (Cristofaro-Gardiner, arXiv:1409.4378)."""
+        d, [[a, b, alpha, beta]] = to_grid([self.a, self.b, self.alpha, self.beta])
+        mu = alpha + beta
+        return complement_of(d, mu, [*_weight_runs(alpha, mu - a),
+                                     *_weight_runs(beta, mu - b)])
 
     def __str__(self):
         return "T({},{},{},{})".format(*map(format_rational,

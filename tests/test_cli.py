@@ -188,6 +188,17 @@ def test_trace_output_is_pinned(capsys, argv, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_atlas_output_is_pinned(capsys, flags):
+    code = run(["atlas", "--amin", "11/10", "--amax", "10", "--step", "1/10"]
+               + flags)
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert out == (GOLDEN / "atlas.csv").read_text()
+    masked = re.sub(r'"elapsed_s": [^,]+,', '"elapsed_s": "masked",', err)
+    assert masked == ((GOLDEN / "atlas_report.json").read_text() if flags else "")
+
+
 def test_global_flags_both_positions(capsys):
     code_a, out_a = capture(capsys, ["--json", "weights", "5/2"])
     code_b, out_b = capture(capsys, ["weights", "5/2", "--json"])

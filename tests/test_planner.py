@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from sympack.planner import (AllocationError, ClosureError, Curve,
                              liouville_flow, partition_balls,
                              perturb_allocation, plan_discs,
                              validate_allocation, validate_polarization)
+
+from sympack.toric import complement_of
 
 from helpers import (outcome, rand_polarization, reference_build_pieces,
                      reference_compute_delta, reference_partition,
@@ -229,6 +232,25 @@ def test_build_plan_validates_the_polarization_once(monkeypatch, given_alloc):
     assert calls == [pol]
 
 
+def test_plan_and_certificates_build_each_complement_once(monkeypatch):
+    # build_plan takes every piece's threshold, and certifying each piece
+    # afterwards reads the complement the piece object already holds
+    pol = rand_polarization(random.Random(8), 4, 4)
+    built = []
+
+    def counted(d, mu, runs):
+        built.append((d, mu))
+        return complement_of(d, mu, runs)
+
+    monkeypatch.setattr(toric, "complement_of", counted)
+    plan = build_plan(pol)
+    assert len(built) == len(plan.pieces) == 8
+    for piece in plan.pieces:
+        certifier.certify_packing(piece.domain, [piece.volume / 1000])
+        certifier.lambda_bound(piece.domain, certifier.OPTIMISTIC)
+    assert len(built) == len(plan.pieces)
+
+
 def test_lambda_prime_min_semantics():
     pol = symmetric3()
     plan = build_plan(pol, mode=certifier.OPTIMISTIC)
@@ -440,6 +462,46 @@ _deltas = st.sampled_from((F(-1, 10), F(0), F(1, 100), F(1, 40), F(1, 10),
 def test_partition_matches_reference(balls, volumes, delta, pad):
     assert outcome(partition_balls, balls, volumes, delta, pad=pad) == outcome(
         reference_partition, balls, volumes, delta, pad=pad)
+
+
+# large pairwise coprime denominators, so the grid of a partition is large
+_big_dens = st.sampled_from((999_983, 1_000_003, 2 ** 31 - 1, 3 ** 19, 5 ** 13))
+
+
+@st.composite
+def plan_partitions(draw):
+    """(balls, piece volumes, delta) as a plan of 2-5 curves gives them.
+
+    Each piece gets a ball a few delta/4 short of its volume, or none, and
+    a few more balls take a few delta/4, or a little or much more than the
+    largest piece; capacities are cut down to large coprime denominators.
+    """
+    residues = draw(st.lists(_fractions(9, 40), min_size=2, max_size=5))
+    top = max(residues)
+    pol = Polarization(tuple(Curve(10 * top + draw(_fractions(40, 12)), r)
+                             for r in residues))
+    plan = build_plan(pol)
+    volumes = [p.volume for p in plan.pieces]
+    quarter = plan.delta / 4
+    shorts = st.sampled_from((0, 1, 2, 3, 4, 5, 7, None))
+    wanted = [v - short * quarter for v in volumes
+              if (short := draw(shorts)) is not None]
+    extras = st.sampled_from([k * quarter for k in (1, 2, 3, 5, 9) * 4]
+                             + [max(volumes) + k * quarter for k in (3, 5)]
+                             + [max(volumes) * F(11, 10), max(volumes) * 3])
+    wanted += draw(st.lists(extras, max_size=3))
+    balls = []
+    for v in draw(st.permutations(wanted)):
+        q = draw(_big_dens)
+        balls.append(F(isqrt(2 * v.numerator * q * q // v.denominator), q))
+    return balls, volumes, plan.delta
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan_partitions(), st.booleans())
+def test_partition_matches_reference_on_plans(args, pad):
+    assert outcome(partition_balls, *args, pad=pad) == outcome(
+        reference_partition, *args, pad=pad)
 
 
 def test_partition_reference_cases_cover_every_error():
