@@ -2,7 +2,7 @@
 
 from .cremona import (PackingVector, ReductionTrace, max_equal_ball,
                       reduce_vector)
-from .certifier import (Certificate, certify_packing, complement,
+from .certifier import (Certificate, certify_packing,
                         decide_balls_into_ellipsoid, decide_packing,
                         check_directed_hypotheses, lambda_bound)
 from .lattice import (BlowupForm, HomologyClass, class_invariants,

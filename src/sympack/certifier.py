@@ -1,28 +1,28 @@
 """Certified stability thresholds, certificates and exact packing decisions.
 
-Every target is a projective plane with balls cut out: ``complement(t)``
-says, on integers, that t is P^2(mu/d) minus ``count`` balls of capacity
-w/d for each run (count, w).  A blow-up of P^2(1) cuts out its balls; a
-ball B(c) is P^2(c) with nothing cut out; E(a,b) is P^2(max) minus the
-weights of E(max - min, max) (McDuff-Schlenk, arXiv:0912.0532); and
-T(a,b,alpha,beta) is P^2(alpha+beta) minus the weights of
-E(alpha+beta-a, alpha) and E(alpha+beta-b, beta) (Cristofaro-Gardiner,
-arXiv:1409.4378).  Weights come as the runs of Euclid's algorithm, so an
-ellipsoid costs O(log) runs and is never expanded.
+Every target is a projective plane with balls cut out: the target's
+``complement`` (``toric.Complement``) says, on integers, that it is
+P^2(mu/d) minus ``count`` balls of capacity w/d for each run (count, w).
+A blow-up of P^2(1) cuts out its balls; a ball B(c) is P^2(c) with
+nothing cut out; E(a,b) is P^2(max) minus the weights of E(max - min, max)
+(McDuff-Schlenk, arXiv:0912.0532); and T(a,b,alpha,beta) is
+P^2(alpha+beta) minus the weights of E(alpha+beta-a, alpha) and
+E(alpha+beta-b, beta) (Cristofaro-Gardiner, arXiv:1409.4378).  Weights
+come as the runs of Euclid's algorithm, so an ellipsoid costs O(log) runs
+and is never expanded.
 
-Each target caches its complement: the map and its sums sum count w^2 and
-sum count are the target's ``complement`` property (``toric.Complement``),
-built on its first lookup and kept with the object.  So a target object,
-such as a plan's piece, pays for its complement once however many
-thresholds, certificates and decisions read it; a freshly built equal
-target builds its own.  Thresholds,
-certificates and decisions all come from that one map: the threshold
-(``lambda_bound``) is the blow-up bound of the complement, a certified
-lower bound for the capacity below which every volume-admissible ball
-collection embeds; a certificate (``certify_packing``) checks the balls
-against that threshold and against the complement's volume
-(mu^2 - sum count w^2) / (2 d^2); and the exact decision
-(``decide_packing``) is the Cremona reduction of (mu; complement + balls).
+The complement, with its sums sum count w^2 and sum count, is built on
+the target's first lookup and kept with the object.  So a target object,
+such as a plan's piece, pays for it once however many thresholds,
+certificates and decisions read it; a freshly built equal target builds
+its own.  Thresholds, certificates and decisions all come from that one
+map: the threshold (``lambda_bound``) is the blow-up bound of the
+complement, a certified lower bound for the capacity below which every
+volume-admissible ball collection embeds; a certificate
+(``certify_packing``) checks the balls against that threshold and against
+the complement's volume (mu^2 - sum count w^2) / (2 d^2); and the exact
+decision (``decide_packing``) is the Cremona reduction of
+(mu; complement + balls).
 
 ``decide_packing`` is the one exact decision for a target; a yes/no caller
 reads ``.accepted``, e.g. balls pack P^2(mu) iff
@@ -57,13 +57,6 @@ Target = BlowupForm | toric.Ellipsoid | toric.PseudoBall | toric.Ball
 def _check_mode(mode: str):
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-
-
-def complement(t: Target) -> tuple[int, int, list[tuple[int, int]]]:
-    """(d, mu, runs): t is P^2(mu/d) minus ``count`` balls of capacity w/d
-    for each run (count, w); (mu^2 - sum count w^2) / (2 d^2) = vol(t)."""
-    d, mu, cut, _, _ = t.complement
-    return d, mu, list(cut)
 
 
 def ellipsoid_bound_parts(c: Fraction) -> tuple[Fraction, int]:

@@ -2,14 +2,16 @@
 
 All rational I/O is exact 'p/q' text; bounds involving square roots are
 reported as downward-rounded decimal strings with explicit precision and
-rounding metadata.  Exit codes: 0 success/accept/certified, 1
-reject/not-certified, 2 invalid input.
+rounding metadata, at the precision ``run`` resolves once and passes on.
+Exit codes: 0 success/accept/certified, 1 reject/not-certified, 2 invalid
+input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -17,9 +19,9 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import __version__, certifier, cremona, lattice, planner, toric, weights
-from .rationals import (INTEGER_LITERAL, RationalParseError,
-                        check_precision, decimal_lower, default_precision,
-                        format_rational, parse_rational, runs)
+from .rationals import (DEFAULT_PRECISION_BITS, INTEGER_LITERAL,
+                        RationalParseError, decimal_lower, format_rational,
+                        parse_rational, runs)
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -28,6 +30,8 @@ EXIT_INVALID = 2
 DECIMAL_DIGITS = 12
 MAX_BALLS = 10 ** 6             # balls a ball list may hold, repetitions included
 MAX_ROWS = 10 ** 5              # rows an atlas grid may have
+MIN_PRECISION_BITS = 4
+PRECISION_ENV_VAR = "SYMPACK_PRECISION"     # read by the CLI alone
 
 
 _fmt = format_rational
@@ -39,6 +43,27 @@ def _fmt_all(xs) -> list[str]:
     for x, count in runs(xs):
         texts += [_fmt(x)] * count
     return texts
+
+
+def check_precision(bits: int, source: str) -> int:
+    """``bits`` if it is a usable precision, else a parse error naming ``source``."""
+    if bits < MIN_PRECISION_BITS:
+        raise RationalParseError(
+            f"{source} too small: {bits} (need >= {MIN_PRECISION_BITS})")
+    return bits
+
+
+def default_precision() -> int:
+    """``SYMPACK_PRECISION``, else the library's ``DEFAULT_PRECISION_BITS``."""
+    raw = os.environ.get(PRECISION_ENV_VAR)
+    if raw is None:
+        return DEFAULT_PRECISION_BITS
+    try:
+        bits = int(raw)
+    except ValueError:
+        raise RationalParseError(
+            f"{PRECISION_ENV_VAR} must be an integer, got {raw!r}")
+    return check_precision(bits, PRECISION_ENV_VAR)
 
 
 def _bound_json(value: Fraction, precision: int) -> dict:

@@ -47,8 +47,15 @@ REASON_NEGATIVE = "negative entry"
 REASON_VOLUME = "volume"
 
 
+MAX_TRACE_ENTRIES = 4 * 10 ** 6  # entries, mu included, a reduction may keep
+
+
 class MoveBoundError(RuntimeError):
     """A reduction made more moves than its termination bound allows."""
+
+
+class TraceSizeError(ValueError):
+    """A reduction whose states would hold more than MAX_TRACE_ENTRIES entries."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,10 @@ def _run_moves(mu: int, lams: list[int]) -> tuple[str | None, list[tuple]]:
     Returns ``REASON_NEGATIVE`` when an entry is or becomes negative, or
     None when the defect became non-negative, together with the sorted,
     zero-padded state before each move; the last state of a None result is
-    the terminal one.  The volume is the caller's.
+    the terminal one.  The volume is the caller's.  A state that would
+    take the kept states past ``MAX_TRACE_ENTRIES`` entries raises
+    ``TraceSizeError`` instead; the first state, a copy of the input, is
+    always kept.
     """
     lams = sorted(lams, reverse=True)
     states: list[tuple] = []
@@ -101,6 +111,7 @@ def _run_moves(mu: int, lams: list[int]) -> tuple[str | None, list[tuple]]:
         return REASON_NEGATIVE, states
     lams += [0] * (3 - len(lams))
     limit = max(mu, 0) + 1
+    max_states = MAX_TRACE_ENTRIES // (len(lams) + 1)
     while True:
         a, b, c = lams[0], lams[1], lams[2]
         delta = mu - a - b - c
@@ -118,6 +129,10 @@ def _run_moves(mu: int, lams: list[int]) -> tuple[str | None, list[tuple]]:
             return REASON_NEGATIVE, states
         lams[0], lams[1], lams[2] = a + delta, b + delta, c
         lams.sort(reverse=True)
+        if len(states) >= max_states:
+            raise TraceSizeError(
+                f"the reduction of {len(lams)} entries would keep more than "
+                f"{MAX_TRACE_ENTRIES} entries in its {len(states) + 1} states")
 
 
 class _GridFractions(dict):

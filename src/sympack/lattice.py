@@ -8,9 +8,10 @@ upper approximation of the infimum; the bound is rounded downward, so
 [bound, search] always brackets the true constant.
 
 The search works on Python ints with no float step.  With d the common
-denominator of the lambda_i and n_i = lambda_i * d, a class (k; m) has
+denominator of the lambda_i and n_i = lambda_i * d, as the runs of the
+form's ``complement`` hold them, a class (k; m) has
 D = m.n, area (k d - D)/d, Chern number c = 3k - S with S = sum m_i, and
-ratio (k d - D)/(d c).  Four facts cut the classes it has to look at:
+ratio (k d - D)/(d c).  Five facts cut the classes it has to look at:
 
 1. Sorted classes only.  Sort lambda in descending order; only
    non-increasing m need be enumerated (the reduced form of Karshon and
@@ -45,6 +46,14 @@ ratio (k d - D)/(d c).  Four facts cut the classes it has to look at:
    instance, and the sorted order gives the largest D (fact 1), so testing
    each group's largest D at its k_c covers every class with positive
    square in range.  Rows with no admissible k stay in the table for it.
+5. Long forms.  A row has at most k_max^2 non-zero entries, the positive
+   ones first and the negative ones last.  So for p > 2 k_max^2 they lie
+   among the k_max^2 largest and the k_max^2 smallest sizes, and the
+   search runs the table of (2 k_max^2, k_max) on those sizes alone.  Its
+   rows are the rows of p with the middle zeros left out: the same D,
+   sums, norms, partial-sum order and dominance, so the same value and
+   witness, with the witness zero elsewhere.  sum n_i^2 of fact 4 stays
+   the sum over all p sizes.
 
 The table is bounded before it is built: a memoized count over the same
 recursion as its enumeration gives its number of sorted rows, and more
@@ -68,9 +77,9 @@ from itertools import accumulate
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .rationals import (default_precision, exact_tuple, runs, sqrt_enclosure,
-                        to_grid)
-from .toric import Complement
+from .rationals import (DEFAULT_PRECISION_BITS, exact_tuple, runs,
+                        sqrt_enclosure, to_grid)
+from .toric import Complement, complement_of
 
 
 class InfeasibleFormError(ValueError):
@@ -99,7 +108,7 @@ class BlowupForm:
         cut = self.complement           # checks each size
         if cut.squares >= cut.d * cut.d:
             raise InfeasibleFormError(
-                f"sum of squared sizes {self.kappa_sq} >= 1: cannot blow up")
+                f"sum of squared sizes {cut.kappa_sq} >= 1: cannot blow up")
 
     @property
     def p(self) -> int:
@@ -107,36 +116,16 @@ class BlowupForm:
 
     @cached_property
     def complement(self) -> Complement:
-        """P^2(1) minus the balls: over the lcm d of the denominators, each
-        size is w/d for its run (1, w), one run per entry.
-
-        Each run of equal entries is checked, put on the grid and summed
-        once (``rationals.runs``).
-        """
+        """P^2(1) minus the balls, in runs: over the lcm d of the
+        denominators, a run of count equal consecutive sizes w/d is the run
+        (count, w).  Each run is checked and put on the grid once
+        (``rationals.runs``)."""
         sizes = runs(self.lambdas)
         d, [ws] = to_grid([l for l, _ in sizes])
-        entries: list[tuple[int, int]] = []
-        squares = 0
-        for w, (l, count) in zip(ws, sizes):
+        for w, (l, _) in zip(ws, sizes):
             if not 0 < w < d:
                 raise InfeasibleFormError(f"blow-up size {l} outside (0,1)")
-            entries += [(1, w)] * count
-            squares += count * w * w
-        return Complement(d, d, tuple(entries), squares, len(entries))
-
-    @property
-    def grid(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """(d, runs) of the complement: each size is w/d for its run (1, w)."""
-        d, _, entries, _, _ = self.complement
-        return d, entries
-
-    @cached_property
-    def kappa_sq(self) -> Fraction:
-        return self.complement.kappa_sq
-
-    @property
-    def volume(self) -> Fraction:
-        return (1 - self.kappa_sq) / 2
+        return complement_of(d, d, zip((count for _, count in sizes), ws))
 
     def __str__(self):
         return "Blowup({})".format(",".join(str(l) for l in self.lambdas))
@@ -160,11 +149,12 @@ def blowup_terms(kappa_num: int, kappa_den: int, p: int,
     kappa and sqrt(p) are replaced by their upper enclosures from
     ``rationals.sqrt_enclosure``, K / (e 2^b) and P / 2^b with e the
     reduced denominator of kappa^2, so the bound is
-    (e 2^b - K) / (e (3 2^b + P)), returned unreduced.
+    (e 2^b - K) / (e (3 2^b + P)), returned unreduced.  No precision means
+    ``DEFAULT_PRECISION_BITS``.
     """
     g = gcd(kappa_num, kappa_den)
     kappa_num, kappa_den = kappa_num // g, kappa_den // g
-    bits = default_precision() if precision is None else precision
+    bits = DEFAULT_PRECISION_BITS if precision is None else precision
     k_up = sqrt_enclosure(kappa_num, kappa_den, bits)[1]
     p_up = sqrt_enclosure(p, 1, bits)[1]
     return (kappa_den << bits) - k_up, kappa_den * ((3 << bits) + p_up)
@@ -302,17 +292,20 @@ def d_omega_search(form: BlowupForm, k_max: int,
     """
     if k_max < 1:
         raise ValueError(f"bad k range [1, {k_max}]")
-    lams = form.lambdas
-    d, entries = form.grid
+    cut = form.complement
+    d = cut.d
     if d * k_max >= SEARCH_LIMIT:
         raise OverflowError(
             f"lcm(denominators) * k_max = {d * k_max} is not below 2^63, "
             "the limit of the lattice search")
+    sizes = [w for count, w in cut.runs for _ in range(count)]
     # equal sizes take the coefficients of the witness in ascending order
-    order = sorted(range(len(lams)), key=lambda i: (lams[i], i), reverse=True)
-    n = [entries[i][1] for i in order]
-    n_sq = sum(x * x for x in n)
-    table = _table(len(lams), k_max)
+    order = sorted(range(cut.p), key=lambda i: (sizes[i], i), reverse=True)
+    half = k_max * k_max
+    if cut.p > 2 * half:                # fact 5: the rest of m is zero
+        order = order[:half] + order[-half:]
+    n = [sizes[i] for i in order]
+    table = _table(len(n), k_max)
     # lane of row m: sum_i n_i (m_i + k_max) - k_max sum_i n_i + 2^63
     packed = (SEARCH_LIMIT - k_max * sum(n)) * table.ones
     for x, column in zip(n, table.columns):
@@ -323,7 +316,7 @@ def d_omega_search(form: BlowupForm, k_max: int,
     for start, stop, s, lowest, kc_sq in table.groups:
         top = dots[start] if stop - start == 1 else max(dots[start:stop])
         dot = top - SEARCH_LIMIT
-        if check_area_excess and dot > 0 and dot * dot >= kc_sq * n_sq:
+        if check_area_excess and dot > 0 and dot * dot >= kc_sq * cut.squares:
             raise AreaExcessError(
                 f"area excess inequality fails at k={isqrt(kc_sq)}, dot={dot}")
         if 3 * dot <= d * s or lowest > k_max:
@@ -333,7 +326,7 @@ def d_omega_search(form: BlowupForm, k_max: int,
             best_area, best_chern = area, chern
             best = (lowest, dots.index(top, start, stop))
 
-    k, witness = 1, [0] * len(lams)
+    k, witness = 1, [0] * cut.p
     if best is not None:
         k, row = best
         for i, m in zip(order, table.rows[row]):

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import certifier, toric
-from .rationals import exact, exact_fields, exact_tuple, sqrt_lower, to_grid
+from .rationals import exact, exact_fields, exact_tuple, sqrt_bounds, to_grid
 
 CROSS_CONVENTION = ("cross basin T(a_j, a_i, alpha_j, alpha_i); "
                     "disc areas admissible in ]alpha_own, alpha_own+alpha_other[")
@@ -393,7 +393,7 @@ def build_plan(pol: Polarization, alloc: DiscAllocation | None = None,
     lam_pieces = min(certifier.lambda_bound(p.domain, mode, precision)
                      for p in pieces)
     delta = grid.delta()
-    lam_prime = min(lam_pieces, sqrt_lower(2 * delta, precision))
+    lam_prime = min(lam_pieces, sqrt_bounds(2 * delta, precision)[0])
     return DecompositionPlan(tuple(pieces), delta, lam_pieces, lam_prime, mode)
 
 

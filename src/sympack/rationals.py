@@ -10,16 +10,12 @@ grid (``to_grid``) and the runs of equal balls (``runs``) written here.
 
 from __future__ import annotations
 
-import os
 import re
 from fractions import Fraction
 from itertools import groupby
 from math import isqrt, lcm
 
-DEFAULT_PRECISION_BITS = 128
-MIN_PRECISION_BITS = 4
-
-PRECISION_ENV_VAR = "SYMPACK_PRECISION"
+DEFAULT_PRECISION_BITS = 128    # the bits of a bound when none are given
 
 # an integer literal as parse_rational and the ball-list "xN" count accept it
 INTEGER_LITERAL = re.compile(r"[+-]?[0-9]+")
@@ -27,27 +23,6 @@ INTEGER_LITERAL = re.compile(r"[+-]?[0-9]+")
 
 class RationalParseError(ValueError):
     """Raised when input is not an exact rational 'p/q' or integer string."""
-
-
-def check_precision(bits: int, source: str) -> int:
-    """``bits`` if it is a usable precision, else a parse error naming ``source``."""
-    if bits < MIN_PRECISION_BITS:
-        raise RationalParseError(
-            f"{source} too small: {bits} (need >= {MIN_PRECISION_BITS})")
-    return bits
-
-
-def default_precision() -> int:
-    """Precision in bits for directed-rounded bounds (env-overridable)."""
-    raw = os.environ.get(PRECISION_ENV_VAR)
-    if raw is None:
-        return DEFAULT_PRECISION_BITS
-    try:
-        bits = int(raw)
-    except ValueError:
-        raise RationalParseError(
-            f"{PRECISION_ENV_VAR} must be an integer, got {raw!r}")
-    return check_precision(bits, PRECISION_ENV_VAR)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -159,24 +134,17 @@ def sqrt_bounds(x, precision: int | None = None) -> tuple[Fraction, Fraction]:
     """Rational (lower, upper) enclosure of sqrt(x), exact on perfect squares.
 
     Width of the enclosure is at most 2^-precision relative to the scaled
-    integer grid; both endpoints are exact Fractions.
+    integer grid; both endpoints are exact Fractions.  No precision means
+    ``DEFAULT_PRECISION_BITS``.
     """
     x = Fraction(x)
     if x < 0:
         raise ValueError("square root of negative rational")
-    bits = default_precision() if precision is None else precision
+    bits = DEFAULT_PRECISION_BITS if precision is None else precision
     lower, upper = sqrt_enclosure(x.numerator, x.denominator, bits)
     denom = x.denominator << bits
     low = Fraction(lower, denom)
     return low, low if upper == lower else Fraction(upper, denom)
-
-
-def sqrt_lower(x, precision: int | None = None) -> Fraction:
-    return sqrt_bounds(x, precision)[0]
-
-
-def sqrt_upper(x, precision: int | None = None) -> Fraction:
-    return sqrt_bounds(x, precision)[1]
 
 
 def decimal_lower(x, digits: int = 12) -> str:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from sympack import certifier, planner, toric
 from sympack.cremona import REASON_NEGATIVE, REASON_VOLUME
 from sympack.lattice import BlowupForm
-from sympack.rationals import sqrt_upper
+from sympack.rationals import sqrt_bounds
 from sympack.weights import ellipsoid_weights
 
 # the oracle's own reason; the integer kernel can never reach it
@@ -90,9 +90,9 @@ def reference_decide_ellipsoid(a, balls):
 
 
 def reference_blowup_bound(kappa_sq, p, precision=None) -> Fraction:
-    """(1-kappa)/(3+sqrt(p)) from the two rounded-up roots of ``sqrt_upper``."""
-    return ((1 - sqrt_upper(Fraction(kappa_sq), precision))
-            / (3 + sqrt_upper(p, precision)))
+    """(1-kappa)/(3+sqrt(p)) from the two rounded-up roots of ``sqrt_bounds``."""
+    return ((1 - sqrt_bounds(Fraction(kappa_sq), precision)[1])
+            / (3 + sqrt_bounds(p, precision)[1]))
 
 
 def reference_weight_sequence(a) -> tuple[Fraction, ...]:
@@ -129,8 +129,10 @@ def reference_lambda_bound(t, mode, precision=None) -> Fraction:
 
 
 def reference_volume(t) -> Fraction:
-    """vol(t) from ``BlowupForm.volume`` or ``toric.volume``, not the complement."""
-    return t.volume if isinstance(t, BlowupForm) else toric.volume(t)
+    """vol(t) from the blown-up sizes or ``toric.volume``, not the complement."""
+    if isinstance(t, BlowupForm):
+        return (1 - sum((l * l for l in t.lambdas), Fraction(0))) / 2
+    return toric.volume(t)
 
 
 def reference_certify_packing(t, balls, mode, precision=None):

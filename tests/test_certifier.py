@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympack import cli, toric
+from sympack import cli, planner, toric
 from sympack.certifier import (CONSERVATIVE, OPTIMISTIC, AxisAssignment,
                                CrossAssignment, FreeEllipsoid,
                                InvalidAssignmentError, certify_packing,
@@ -334,9 +334,34 @@ def test_decide_ellipsoid_many_balls_within_budget():
     assert trace.accepted
 
 
+@pytest.mark.parametrize("env", ["32", "abc"])
+def test_library_bounds_ignore_precision_env(monkeypatch, env):
+    # only the CLI reads SYMPACK_PRECISION; a library call without a
+    # precision takes 128 bits
+    form = BlowupForm((F(1, 2), F(1, 3)))
+    targets = (form, toric.Ellipsoid(1, F(5, 2)),
+               toric.PseudoBall(F(3, 2), F(3, 2), 1, 1))
+    pol = planner.Polarization(tuple(planner.Curve(1, F(1, 10))
+                                     for _ in range(3)))
+
+    def bounds(precision):
+        plan = planner.build_plan(pol, precision=precision)
+        return ([lambda_bound(t, OPTIMISTIC, precision) for t in targets],
+                [certify_packing(t, [F(1, 20)] * 3, CONSERVATIVE, precision)
+                 for t in targets],
+                d_omega_bound(form, precision),
+                (plan.lambda_pieces, plan.lambda_prime))
+
+    expected = bounds(128)
+    assert bounds(64) != expected
+    monkeypatch.setenv("SYMPACK_PRECISION", env)
+    assert bounds(None) == expected
+
+
 def test_target_volume():
     assert toric.volume(toric.Ellipsoid(1, 2)) == 1
-    assert BlowupForm((F(1, 2),)).volume == F(3, 8)
+    cut = BlowupForm((F(1, 2),)).complement
+    assert F(cut.mu ** 2 - cut.squares, 2 * cut.d ** 2) == F(3, 8)
 
 
 def test_directed_simple():

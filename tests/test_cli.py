@@ -398,6 +398,25 @@ def test_dstar_overflow_exit_two(capsys):
     assert "2^63" in err
 
 
+def test_dstar_many_sizes(capsys):
+    # 1000 sizes search the table of 2 k_max^2 = 2 entries, with no deep
+    # recursion; the witness is -E of one size: (1 + 1/100) / 4
+    code, out = capture(capsys, ["dstar", "--lambdas", "1/100x1000",
+                                 "--search-kmax", "1"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["search_value"] == "101/400"
+    assert data["witness"]["k"] == 1 and sorted(data["witness"]["m"]) == (
+        [-1] + [0] * 999)
+
+
+def test_decide_trace_size_limit_exit_two(capsys):
+    err = _invalid(capsys, ["decide", "--mu", "1", "--balls",
+                            "33333334/100000000x9,1/1000000000x100000",
+                            "--trace"])
+    assert "4000000 entries" in err
+
+
 def test_dstar_table_above_row_limit_exit_two(capsys):
     err = _invalid(capsys, ["dstar", "--lambdas", "1/10x6",
                             "--search-kmax", "20"])

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympack import cremona
 from sympack.certifier import decide_packing
 from sympack.cremona import (REASON_NEGATIVE, REASON_VOLUME, MoveBoundError,
-                             PackingVector, _equal_balls_fit, _run_moves,
-                             max_equal_ball, reduce_vector)
+                             PackingVector, TraceSizeError, _equal_balls_fit,
+                             _run_moves, max_equal_ball, reduce_vector)
 from sympack.toric import Ball
 
 from helpers import REASON_MU_EXHAUSTED, reference_reduce
@@ -233,6 +234,22 @@ def test_move_bound_raises():
     # the same vector on the grid runs to its rejection within the bound
     trace = reduce_vector(vec(1, *([F(34, 100)] * 9)))
     assert trace.reason == reference_reduce(1, [F(34, 100)] * 9)[1]
+
+
+def test_trace_size_limit(monkeypatch):
+    # (1; 34/100 x 9) keeps 8 states of 10 entries before its rejection
+    v = vec(1, *([F(34, 100)] * 9))
+    expected = reduce_vector(v)
+    assert len(expected.steps) == 8
+    monkeypatch.setattr(cremona, "MAX_TRACE_ENTRIES", 80)
+    assert reduce_vector(v) == expected
+    monkeypatch.setattr(cremona, "MAX_TRACE_ENTRIES", 79)
+    with pytest.raises(TraceSizeError, match="more than 79 entries"):
+        reduce_vector(v)
+    assert issubclass(TraceSizeError, ValueError)
+    # the first state, a copy of the input, is always kept
+    monkeypatch.setattr(cremona, "MAX_TRACE_ENTRIES", 1)
+    assert reduce_vector(vec(1, F(1, 2))).accepted
 
 
 # runs of one repeated ball object, as ``xN`` and ``(c,) * n`` give them

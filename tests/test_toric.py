@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from sympack import planner, toric
-from sympack.certifier import complement
 from sympack.lattice import BlowupForm
 from sympack.toric import (Ball, DomainError, Ellipsoid, InvalidParameterError,
                            MomentPolytope, ProjectivePlane, PseudoBall,
@@ -103,16 +102,16 @@ def test_degenerate_pseudo_ball_rejected():
 
 def test_complement_symmetric_example():
     # P^2(2) minus E(1/2,1) twice, that is minus four balls of capacity 1/2
-    assert complement(PseudoBall(F(3, 2), F(3, 2), 1, 1)) == (
-        2, 4, [(2, 1), (2, 1)])
+    d, mu, runs, _, _ = PseudoBall(F(3, 2), F(3, 2), 1, 1).complement
+    assert (d, mu, runs) == (2, 4, ((2, 1), (2, 1)))
 
 
 def test_complement_asymmetric_example():
     # P^2(3/2) minus E(1/4,1) and E(3/10,1/2), over d = 20
     t = PseudoBall(F(5, 4), F(6, 5), 1, F(1, 2))
-    d, mu, runs = complement(t)
+    d, mu, runs, _, _ = t.complement
     assert (d, mu) == (20, 30)
-    assert runs == [(4, 5), (1, 6), (1, 4), (2, 2)]
+    assert runs == ((4, 5), (1, 6), (1, 4), (2, 2))
     assert F(mu * mu - sum(c * w * w for c, w in runs), 2 * d * d) == F(37, 40)
     assert volume(t) == F(37, 40)
 
@@ -134,7 +133,7 @@ def test_complement_volume_identity_randomized():
     rng = random.Random(3)
     for _ in range(1000):
         t = _rand_target(rng)
-        d, mu, runs = complement(t)
+        d, mu, runs, _, _ = t.complement
         assert all(count > 0 and w > 0 for count, w in runs)
         assert (F(mu * mu - sum(c * w * w for c, w in runs), 2 * d * d)
                 == reference_volume(t))
