@@ -159,13 +159,10 @@ def decide_packing(t: Target, balls) -> ReductionTrace:
     if any(b < 0 for b, _ in ball_runs):
         raise ValueError("ball capacities must be >= 0")
     scale, [grid] = to_grid([b for b, _ in ball_runs])
-    lams: list[int] = []
-    for count, w in cut:
-        lams += [w * scale] * count
-    for x, (_, count) in zip(grid, ball_runs):
-        if x:
-            lams += [x * d] * count
-    return _reduce_grid(mu * scale, mu * scale, lams)
+    return _reduce_grid(mu * scale, mu * scale,
+                        [(count, w * scale) for count, w in cut]
+                        + [(count, x * d) for x, (_, count)
+                           in zip(grid, ball_runs) if x])
 
 
 def decide_balls_into_ellipsoid(a, balls) -> ReductionTrace:

@@ -28,7 +28,7 @@ EXIT_REJECT = 1
 EXIT_INVALID = 2
 
 DECIMAL_DIGITS = 12
-MAX_BALLS = 10 ** 6             # balls a ball list may hold, repetitions included
+MAX_BALLS = 10 ** 6             # balls of a ball list, or weights of `weights`
 MAX_ROWS = 10 ** 5              # rows an atlas grid may have
 MIN_PRECISION_BITS = 4
 PRECISION_ENV_VAR = "SYMPACK_PRECISION"     # read by the CLI alone
@@ -124,6 +124,8 @@ def _trace_json(trace: cremona.ReductionTrace) -> dict:
 
 def cmd_weights(args):
     a = parse_rational(args.a)
+    if weights.weight_count(a) > MAX_BALLS:
+        raise ValueError(f"{_fmt(a)} has more than {MAX_BALLS} weights")
     ws = weights.weight_sequence(a)
     return {
         "a": _fmt(a),

@@ -24,16 +24,16 @@ failed volume check always ends in a rejection.  A reduction still runs
 the moves then, so that its trace and reason are those of the full
 reduction.  The exact decision for a target is ``certifier.decide_packing``,
 which builds that trace; a yes/no caller reads its ``accepted``.  Only
-``max_equal_ball``, which needs no trace, decides its equal balls with
-the volume and the first defect alone wherever those settle the answer.
+``max_equal_ball`` decides its equal balls with the volume and the first
+defect alone wherever those settle the answer.
 
-Traces.  A trace is built once, from the integer states, after the
-reduction ends (``_reduce_grid``, which ``reduce_vector`` and
-``certifier.decide_packing`` share).  Within one trace each distinct grid
-integer x becomes a single ``Fraction(x, d)``, shared by every vector that
-holds it, and a move's ``after`` vector reuses the untouched tail of its
-``before``.  The entries are in lowest terms and normalized as the input
-was, so the trace is the same as one computed on ``Fraction``s throughout.
+Traces.  One loop (``_reduce_grid``) runs every reduction and builds its
+trace as the moves run.  It takes the entries as runs (count, x) and
+counts each state against ``MAX_TRACE_ENTRIES`` before it expands the runs
+or builds the state.  A step's ``after`` holds the moved values and the
+tail of its ``before``.  Each distinct grid integer x of a trace is one
+shared ``Fraction(x, d)``, in lowest terms and normalized as the input
+was, so the trace equals one computed on ``Fraction``s throughout.
 """
 
 from __future__ import annotations
@@ -94,52 +94,10 @@ class ReductionTrace:
         return self.steps[-1].after if self.steps else None
 
 
-def _run_moves(mu: int, lams: list[int]) -> tuple[str | None, list[tuple]]:
-    """Cremona moves on the integer grid, up to the first failed check.
-
-    Returns ``REASON_NEGATIVE`` when an entry is or becomes negative, or
-    None when the defect became non-negative, together with the sorted,
-    zero-padded state before each move; the last state of a None result is
-    the terminal one.  The volume is the caller's.  A state that would
-    take the kept states past ``MAX_TRACE_ENTRIES`` entries raises
-    ``TraceSizeError`` instead; the first state, a copy of the input, is
-    always kept.
-    """
-    lams = sorted(lams, reverse=True)
-    states: list[tuple] = []
-    if lams and lams[-1] < 0:
-        return REASON_NEGATIVE, states
-    lams += [0] * (3 - len(lams))
-    limit = max(mu, 0) + 1
-    max_states = MAX_TRACE_ENTRIES // (len(lams) + 1)
-    while True:
-        a, b, c = lams[0], lams[1], lams[2]
-        delta = mu - a - b - c
-        states.append((mu, *lams))
-        if delta >= 0:
-            return None, states
-        if len(states) > limit:
-            raise MoveBoundError(f"more than {limit} Cremona moves from an "
-                                 f"integer mu of {states[0][0]}")
-        # the state is sorted and non-negative, so c + delta is the least
-        # entry after the move
-        mu += delta
-        c += delta
-        if c < 0:
-            return REASON_NEGATIVE, states
-        lams[0], lams[1], lams[2] = a + delta, b + delta, c
-        lams.sort(reverse=True)
-        if len(states) >= max_states:
-            raise TraceSizeError(
-                f"the reduction of {len(lams)} entries would keep more than "
-                f"{MAX_TRACE_ENTRIES} entries in its {len(states) + 1} states")
-
-
 class _GridFractions(dict):
     """Fraction(x, d) of each grid integer x, built on its first lookup."""
 
     def __init__(self, d: int):
-        super().__init__()
         self.d = d
 
     def __missing__(self, x: int) -> Fraction:
@@ -147,28 +105,63 @@ class _GridFractions(dict):
         return value
 
 
-def _reduce_grid(d: int, mu: int, lams: list[int]) -> ReductionTrace:
-    """The reduction of (mu; lams)/d as a trace: moves first, then the steps.
+def _reduce_grid(d: int, mu: int, runs) -> ReductionTrace:
+    """The reduction of (mu; lambdas)/d, the lambdas given as runs
+    (count, x) of grid integers in any order, with its trace.
 
-    Each distinct integer of the trace becomes one ``Fraction(x, d)``.
+    The first state, zero padding included, is counted before the runs are
+    expanded, and each later one before it is built.
     """
-    vol_ok = sum(l * l for l in lams) <= mu * mu
-    reason, states = _run_moves(mu, lams)
-    if reason is None and not vol_ok:
-        reason = REASON_VOLUME
+    n = squares = 0
+    for count, x in runs:
+        n += count
+        squares += count * x * x
+    width = max(n, 3) + 1
+    _check_trace_size(width, 1)
+    lams: list[int] = []
+    for count, x in runs:
+        lams += [x] * count
+    lams.sort(reverse=True)
+    vol_ok = squares <= mu * mu
+    if lams and lams[-1] < 0:
+        return ReductionTrace(reason=REASON_NEGATIVE, volume_ok=vol_ok)
+    lams += [0] * (width - 1 - n)
+    limit = max(mu, 0) + 1
     frac = _GridFractions(d)
-    steps = []
-    for state in states:
-        before = PackingVector(frac[state[0]],
-                               tuple(map(frac.__getitem__, state[1:])))
-        m, a, b, c = state[:4]
+    steps: list[ReductionStep] = []
+    m = mu
+    while True:
+        before = PackingVector(frac[m], tuple(map(frac.__getitem__, lams)))
+        a, b, c = lams[:3]
         delta = m - a - b - c
-        after = before if delta >= 0 else PackingVector(
-            frac[m + delta], (frac[a + delta], frac[b + delta],
-                              frac[c + delta], *before.lambdas[3:]))
-        steps.append(ReductionStep(before, frac[delta], after))
-    return ReductionTrace(steps, "accepted" if reason is None else "rejected",
-                          reason, vol_ok)
+        if delta >= 0:
+            steps.append(ReductionStep(before, frac[delta], before))
+            break
+        if len(steps) == limit:
+            raise MoveBoundError(f"more than {limit} Cremona moves from an "
+                                 f"integer mu of {mu}")
+        # the state is sorted and non-negative, so c + delta is the least
+        # entry after the move
+        m, a, b, c = m + delta, a + delta, b + delta, c + delta
+        steps.append(ReductionStep(before, frac[delta], PackingVector(
+            frac[m], (frac[a], frac[b], frac[c], *before.lambdas[3:]))))
+        if c < 0:
+            break
+        lams[:3] = a, b, c
+        lams.sort(reverse=True)
+        _check_trace_size(width, len(steps) + 1)
+    reason = (REASON_NEGATIVE if delta < 0
+              else None if vol_ok else REASON_VOLUME)
+    return ReductionTrace(steps, "rejected" if reason else "accepted", reason,
+                          vol_ok)
+
+
+def _check_trace_size(width: int, states: int):
+    """Refuse ``states`` states of ``width`` entries past MAX_TRACE_ENTRIES."""
+    if states * width > MAX_TRACE_ENTRIES:
+        raise TraceSizeError(
+            f"the reduction of {width - 1} entries would keep more than "
+            f"{MAX_TRACE_ENTRIES} entries in its {states} states")
 
 
 def reduce_vector(v: PackingVector) -> ReductionTrace:
@@ -178,7 +171,7 @@ def reduce_vector(v: PackingVector) -> ReductionTrace:
     reason are those of the full reduction.
     """
     d, ([mu], lams) = to_grid([v.mu], v.lambdas)
-    return _reduce_grid(d, mu, lams)
+    return _reduce_grid(d, mu, [(1, x) for x in lams])
 
 
 def _equal_balls_fit(n: int, x: int, mu: int) -> bool:
@@ -189,7 +182,7 @@ def _equal_balls_fit(n: int, x: int, mu: int) -> bool:
     """
     if n * x * x > mu * mu:
         return False
-    return min(n, 3) * x <= mu or _run_moves(mu, [x] * n)[0] is None
+    return min(n, 3) * x <= mu or _reduce_grid(mu, mu, [(n, x)]).accepted
 
 
 def max_equal_ball(n: int, tol) -> Fraction:

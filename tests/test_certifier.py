@@ -2,12 +2,13 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sympack import cli, planner, toric
+from sympack import cli, cremona, planner, toric
 from sympack.certifier import (CONSERVATIVE, OPTIMISTIC, AxisAssignment,
                                CrossAssignment, FreeEllipsoid,
                                InvalidAssignmentError, certify_packing,
@@ -306,8 +307,18 @@ def _steps(trace):
 # every target kind; E(a,b) is drawn with a < b, a = b and a > b
 @settings(max_examples=300, deadline=None)
 @given(targets, _ball_lists)
+@example(toric.Ellipsoid(F(1, 79), 36), [])
 def test_decide_packing_matches_reference(t, balls):
-    trace = decide_packing(t, balls)
+    try:
+        trace = decide_packing(t, balls)
+    except cremona.TraceSizeError:
+        # as E(1/79, 36), whose reduction keeps 1,422 states, 4,045,590
+        # entries in all; the Fraction reference is too slow for such sizes
+        with mock.patch.object(cremona, "MAX_TRACE_ENTRIES", 10 ** 9):
+            trace = decide_packing(t, balls)
+        assert (sum(len(s.before.lambdas) + 1 for s in trace.steps)
+                > cremona.MAX_TRACE_ENTRIES)
+        return
     verdict, reason, vol_ok, steps = reference_decide(t, balls)
     assert (trace.verdict, trace.reason, trace.volume_ok) == (verdict, reason,
                                                               vol_ok)

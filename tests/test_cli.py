@@ -53,6 +53,14 @@ def test_weights_json(capsys):
                     "p": 4, "sum_sq": "5/2"}
 
 
+def test_weights_count_limit(capsys, monkeypatch):
+    # the weights are counted from the continued fraction before any is built
+    monkeypatch.setattr(cli, "MAX_BALLS", 10)
+    code, out = capture(capsys, ["weights", "10"])
+    assert code == 0 and json.loads(out)["p"] == 10
+    assert "more than 10 weights" in _invalid(capsys, ["weights", "11"])
+
+
 def test_weights_round_trip(capsys):
     code, out = capture(capsys, ["weights", "201/100"])
     data = json.loads(out)

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,8 @@ from sympack import cremona
 from sympack.certifier import decide_packing
 from sympack.cremona import (REASON_NEGATIVE, REASON_VOLUME, MoveBoundError,
                              PackingVector, TraceSizeError, _equal_balls_fit,
-                             _run_moves, max_equal_ball, reduce_vector)
-from sympack.toric import Ball
+                             _reduce_grid, max_equal_ball, reduce_vector)
+from sympack.toric import Ball, Ellipsoid
 
 from helpers import REASON_MU_EXHAUSTED, reference_reduce
 
@@ -230,7 +231,7 @@ def test_move_bound_raises():
     # the bound of mu + 1 moves holds only on the integer grid: fed the
     # unscaled Fractions, mu = 1 allows two moves and this vector needs eight
     with pytest.raises(MoveBoundError):
-        _run_moves(F(1), [F(34, 100)] * 9)
+        _reduce_grid(1, F(1), [(9, F(34, 100))])
     # the same vector on the grid runs to its rejection within the bound
     trace = reduce_vector(vec(1, *([F(34, 100)] * 9)))
     assert trace.reason == reference_reduce(1, [F(34, 100)] * 9)[1]
@@ -247,9 +248,26 @@ def test_trace_size_limit(monkeypatch):
     with pytest.raises(TraceSizeError, match="more than 79 entries"):
         reduce_vector(v)
     assert issubclass(TraceSizeError, ValueError)
-    # the first state, a copy of the input, is always kept
-    monkeypatch.setattr(cremona, "MAX_TRACE_ENTRIES", 1)
+    # the first state counts too: (1; 1/2, 0, 0) holds 4 entries
+    monkeypatch.setattr(cremona, "MAX_TRACE_ENTRIES", 4)
     assert reduce_vector(vec(1, F(1, 2))).accepted
+    monkeypatch.setattr(cremona, "MAX_TRACE_ENTRIES", 3)
+    with pytest.raises(TraceSizeError, match="more than 3 entries"):
+        reduce_vector(vec(1, F(1, 2)))
+
+
+def test_trace_size_counted_before_expanding(monkeypatch):
+    # E(1, 1 + 1/10^6) cuts out about 10^6 weights, given as a few runs;
+    # the first state is refused before any list of them is built
+    monkeypatch.setattr(cremona, "MAX_TRACE_ENTRIES", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TraceSizeError):
+            decide_packing(Ellipsoid(1, 1 + F(1, 10 ** 6)), [F(1, 2)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
 
 
 # runs of one repeated ball object, as ``xN`` and ``(c,) * n`` give them
