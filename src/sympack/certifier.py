@@ -35,11 +35,12 @@ produce them: each run is converted and checked once.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import toric
-from .cremona import ReductionTrace, _reduce_grid
+from .cremona import ReductionTrace, _reduce
 from .lattice import BlowupForm, blowup_terms
 from .rationals import runs, to_grid
 
@@ -149,20 +150,21 @@ def decide_packing(t: Target, balls) -> ReductionTrace:
     """Exact decision for packing open balls into the target.
 
     The balls join the complement's in P^2(mu/d), everything is normalized
-    by mu/d, and the Cremona reduction runs; the trace's verdict is the
-    answer.  On the grid d' = mu L, with L the lcm of the ball
-    denominators, a complement ball w is w L and a ball b is b d L.  Zero
-    balls are left out.
+    by mu/d, and the Cremona reduction decides.  On the grid d' = mu L, with
+    L the lcm of the ball denominators, a complement ball w is w L and a
+    ball b is b d L.  Zero balls are left out.
     """
     d, mu, cut, _, _ = t.complement
-    ball_runs = runs(balls)
+    ball_runs = [(b, count) for b, count in runs(balls) if b]
     if any(b < 0 for b, _ in ball_runs):
         raise ValueError("ball capacities must be >= 0")
     scale, [grid] = to_grid([b for b, _ in ball_runs])
-    return _reduce_grid(mu * scale, mu * scale,
-                        [(count, w * scale) for count, w in cut]
-                        + [(count, x * d) for x, (_, count)
-                           in zip(grid, ball_runs) if x])
+    tally = Counter()
+    for count, w in cut:
+        tally[w * scale] += count
+    for x, (_, count) in zip(grid, ball_runs):
+        tally[x * d] += count
+    return _reduce(mu * scale, mu * scale, tally)
 
 
 def decide_balls_into_ellipsoid(a, balls) -> ReductionTrace:

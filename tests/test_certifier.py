@@ -309,15 +309,29 @@ def _steps(trace):
 @given(targets, _ball_lists)
 @example(toric.Ellipsoid(F(1, 79), 36), [])
 def test_decide_packing_matches_reference(t, balls):
+    trace = decide_packing(t, balls)
     try:
-        trace = decide_packing(t, balls)
+        trace.steps
     except cremona.TraceSizeError:
         # as E(1/79, 36), whose reduction keeps 1,422 states, 4,045,590
-        # entries in all; the Fraction reference is too slow for such sizes
+        # entries in all; the Fraction reference is too slow for such sizes,
+        # so the decision is checked against its trace, read past the limit
         with mock.patch.object(cremona, "MAX_TRACE_ENTRIES", 10 ** 9):
-            trace = decide_packing(t, balls)
-        assert (sum(len(s.before.lambdas) + 1 for s in trace.steps)
+            steps = trace.steps
+        assert (sum(len(s.before.lambdas) + 1 for s in steps)
                 > cremona.MAX_TRACE_ENTRIES)
+        start, last = steps[0].before, steps[-1]
+        assert trace.volume_ok == (sum(l * l for l in start.lambdas)
+                                   <= start.mu ** 2)
+        assert all(s.defect < 0 for s in steps[:-1])
+        if last.defect < 0:
+            assert min(last.after.lambdas) < 0
+            assert trace.reason == cremona.REASON_NEGATIVE
+        else:
+            assert last.after == last.before and min(last.after.lambdas) >= 0
+            assert trace.reason == (None if trace.volume_ok
+                                    else cremona.REASON_VOLUME)
+        assert trace.accepted == (trace.reason is None)
         return
     verdict, reason, vol_ok, steps = reference_decide(t, balls)
     assert (trace.verdict, trace.reason, trace.volume_ok) == (verdict, reason,

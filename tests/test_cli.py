@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sympack
-from sympack import cli, toric
+from sympack import cli, cremona, toric
 from sympack.cli import COMMANDS, MAX_BALLS, parse_ball_list, run
 from sympack.rationals import RationalParseError
 
@@ -418,11 +418,21 @@ def test_dstar_many_sizes(capsys):
         [-1] + [0] * 999)
 
 
-def test_decide_trace_size_limit_exit_two(capsys):
-    err = _invalid(capsys, ["decide", "--mu", "1", "--balls",
-                            "33333334/100000000x9,1/1000000000x100000",
-                            "--trace"])
+def test_decide_trace_size_limit_exit_two(capsys, monkeypatch):
+    balls = ["--balls", "33333334/100000000x9,1/1000000000x100000"]
+    err = _invalid(capsys, ["decide", "--mu", "1", *balls, "--trace"])
     assert "4000000 entries" in err
+    # the limit is on the trace: without --trace the same inputs are decided
+    assert capture(capsys, ["decide", "--mu", "1", *balls])[0] == 1
+    thin = ["ellipsoid-decide", "-a", "2844", "--balls", "1/2"]
+    assert capture(capsys, thin)[0] == 0
+    assert "1423 states" in _invalid(capsys, [*thin, "--trace"])
+    # nine balls just above 1/3 need 81,649 passes of one move each; no
+    # more than MAX_TRACE_ENTRIES // 4 passes are made, trace or not
+    monkeypatch.setattr(cremona, "MAX_TRACE_ENTRIES", 4 * 10 ** 4)
+    err = _invalid(capsys, ["decide", "--mu", "1",
+                            "--balls", "3333333334/10000000000x9"])
+    assert "more than 10000 passes" in err
 
 
 def test_dstar_table_above_row_limit_exit_two(capsys):

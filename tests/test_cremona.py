@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from sympack import cremona
 from sympack.certifier import decide_packing
 from sympack.cremona import (REASON_NEGATIVE, REASON_VOLUME, MoveBoundError,
-                             PackingVector, TraceSizeError, _equal_balls_fit,
-                             _reduce_grid, max_equal_ball, reduce_vector)
+                             PackingVector, TraceSizeError, _reduce,
+                             max_equal_ball, reduce_vector)
 from sympack.toric import Ball, Ellipsoid
 
-from helpers import REASON_MU_EXHAUSTED, reference_reduce
+from helpers import REASON_MU_EXHAUSTED, reference_decide, reference_reduce
 
 F = Fraction
 
@@ -27,6 +27,11 @@ def vec(mu, *lams):
 def fits(mu, balls):
     """The yes/no decision: do the open balls pack P^2(mu)?"""
     return decide_packing(Ball(mu), balls).accepted
+
+
+def passes(trace):
+    """The (k, delta) passes the kernel logged for a trace not yet read."""
+    return trace._log[-1]
 
 
 def cremona_step(v):
@@ -231,10 +236,28 @@ def test_move_bound_raises():
     # the bound of mu + 1 moves holds only on the integer grid: fed the
     # unscaled Fractions, mu = 1 allows two moves and this vector needs eight
     with pytest.raises(MoveBoundError):
-        _reduce_grid(1, F(1), [(9, F(34, 100))])
+        _reduce(1, F(1), {F(34, 100): 9})
     # the same vector on the grid runs to its rejection within the bound
     trace = reduce_vector(vec(1, *([F(34, 100)] * 9)))
     assert trace.reason == reference_reduce(1, [F(34, 100)] * 9)[1]
+
+
+def test_move_bound_counts_every_move_of_a_pass():
+    # (1/2; 3/8, 1/8 x 4) makes two moves in one pass: on the grid 8 the
+    # defect -1 comes back once, as 3 - 1 stays above the run of ones
+    lams = [F(3, 8)] + [F(1, 8)] * 4
+    assert passes(reduce_vector(vec(F(1, 2), *lams)))[0] == (2, -1)
+    # (4; 3, 1 x 10): the pass ends when the largest entry falls below the
+    # run, after (3 - 1) // 1 + 1 = 3 moves, and the next move is rejected
+    trace = reduce_vector(vec(4, 3, *[1] * 10))
+    assert passes(trace) == [(3, -1), (1, -2)]
+    # once read, the trace keeps its steps and drops the log
+    assert len(trace.steps) == 4 and trace._log is None
+    # fed unscaled, mu = 1/2 allows one move: with two entries 1/8 the one
+    # move is made, with four the pass of two moves is refused
+    assert _reduce(1, F(1, 2), {F(3, 8): 1, F(1, 8): 2}).accepted
+    with pytest.raises(MoveBoundError):
+        _reduce(1, F(1, 2), {F(3, 8): 1, F(1, 8): 4})
 
 
 def test_trace_size_limit(monkeypatch):
@@ -244,30 +267,66 @@ def test_trace_size_limit(monkeypatch):
     assert len(expected.steps) == 8
     monkeypatch.setattr(cremona, "MAX_TRACE_ENTRIES", 80)
     assert reduce_vector(v) == expected
+    # past the limit the decision stands and reading its steps is refused
     monkeypatch.setattr(cremona, "MAX_TRACE_ENTRIES", 79)
-    with pytest.raises(TraceSizeError, match="more than 79 entries"):
-        reduce_vector(v)
+    trace = reduce_vector(v)
+    assert (trace.verdict, trace.reason) == ("rejected", REASON_NEGATIVE)
+    for read in (lambda: trace.steps, lambda: trace.terminal,
+                 lambda: trace == expected):
+        with pytest.raises(TraceSizeError, match="more than 79 entries"):
+            read()
     assert issubclass(TraceSizeError, ValueError)
     # the first state counts too: (1; 1/2, 0, 0) holds 4 entries
     monkeypatch.setattr(cremona, "MAX_TRACE_ENTRIES", 4)
-    assert reduce_vector(vec(1, F(1, 2))).accepted
+    assert len(reduce_vector(vec(1, F(1, 2))).steps) == 1
     monkeypatch.setattr(cremona, "MAX_TRACE_ENTRIES", 3)
+    trace = reduce_vector(vec(1, F(1, 2)))
+    assert trace.accepted
     with pytest.raises(TraceSizeError, match="more than 3 entries"):
-        reduce_vector(vec(1, F(1, 2)))
+        trace.steps
 
 
 def test_trace_size_counted_before_expanding(monkeypatch):
     # E(1, 1 + 1/10^6) cuts out about 10^6 weights, given as a few runs;
-    # the first state is refused before any list of them is built
+    # the decision runs on the runs, and reading its one state of about
+    # 10^6 entries is refused before any list of them is built
     monkeypatch.setattr(cremona, "MAX_TRACE_ENTRIES", 1000)
     tracemalloc.start()
     try:
-        with pytest.raises(TraceSizeError):
-            decide_packing(Ellipsoid(1, 1 + F(1, 10 ** 6)), [F(1, 2)])
+        trace = decide_packing(Ellipsoid(1, 1 + F(1, 10 ** 6)), [F(1, 2)])
+        with pytest.raises(TraceSizeError, match="1 states of"):
+            trace.steps
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert trace.accepted
     assert peak < 10 ** 6
+
+
+def test_pass_cap_refuses_the_decision(monkeypatch):
+    # (1; 34/100 x 9) logs 8 passes of one move each; a reduction that
+    # would log more than MAX_TRACE_ENTRIES // 4 passes is refused, as its
+    # trace of more states of at least 4 entries could not be read
+    v = vec(1, *([F(34, 100)] * 9))
+    monkeypatch.setattr(cremona, "MAX_TRACE_ENTRIES", 4 * 8)
+    assert reduce_vector(v).reason == REASON_NEGATIVE
+    monkeypatch.setattr(cremona, "MAX_TRACE_ENTRIES", 4 * 8 - 1)
+    with pytest.raises(TraceSizeError, match="more than 7 passes"):
+        reduce_vector(v)
+    # a pass of many moves counts once: E(1, 10^12) with a ball 1/2 makes
+    # 5 * 10^11 moves in two passes
+    monkeypatch.setattr(cremona, "MAX_TRACE_ENTRIES", 4 * 2)
+    assert decide_packing(Ellipsoid(1, 10 ** 12), [F(1, 2)]).accepted
+
+
+def test_untraced_decision_has_no_trace_limit():
+    # E(1, 2844) with a ball 1/2 makes 1,422 moves of 2,845 balls in two
+    # passes; its trace would keep 1,423 states, past MAX_TRACE_ENTRIES
+    trace = decide_packing(Ellipsoid(1, 2844), [F(1, 2)])
+    assert trace.accepted and trace.volume_ok
+    assert [k for k, _ in passes(trace)] == [1421, 1]
+    with pytest.raises(TraceSizeError, match="1423 states of 2845 entries"):
+        trace.steps
 
 
 # runs of one repeated ball object, as ``xN`` and ``(c,) * n`` give them
@@ -285,8 +344,48 @@ def test_decide_on_runs_matches_fraction_reference(mu, balls):
 @settings(max_examples=400, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 60), st.integers(1, 120))
 def test_equal_balls_fit_matches_fraction_reference(n, x, mu):
-    verdict = reference_reduce(mu, [x] * n)[0]
-    assert _equal_balls_fit(n, x, mu) == (verdict == "accepted")
+    # n equal balls of capacity x / mu in P^2(1), one run on the grid mu
+    assert _trace_tuple(_reduce(mu, mu, {x: n})) == reference_reduce(
+        1, [F(x, mu)] * n)
+
+
+# a single largest entry over a run of 2-60 equal entries, with a defect
+# that keeps the run non-negative, then a few smaller runs: the shape whose
+# moves the kernel takes as one pass
+@st.composite
+def batching_vectors(draw):
+    den = draw(st.integers(1, 12))
+    v = draw(st.integers(1, 40))
+    top = v + draw(st.integers(1, 200))
+    mu = top + 2 * v - draw(st.integers(1, v))
+    lams = [top] + [v] * draw(st.integers(2, 60))
+    for _ in range(draw(st.integers(0, 3))):
+        lams += [draw(st.integers(0, v))] * draw(st.integers(1, 4))
+    return F(mu, den), [F(x, den) for x in lams]
+
+
+@settings(max_examples=300, deadline=None)
+@given(batching_vectors())
+def test_batched_passes_match_fraction_reference(vector):
+    mu, lams = vector
+    trace = reduce_vector(PackingVector(mu, tuple(lams)))
+    assert _trace_tuple(trace) == reference_reduce(mu, lams)
+
+
+# thin ellipsoids: E(1, a) for a near 1 cuts out a long run of equal
+# weights, and for an integer a one weight a - 1 over a run of ones
+thin_a = st.one_of(st.builds(lambda q: 1 + F(1, q), st.integers(1, 60)),
+                   st.integers(2, 60),
+                   st.builds(lambda n, q: n + F(1, q), st.integers(1, 30),
+                             st.integers(2, 30)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(thin_a, st.lists(st.builds(F, st.integers(1, 60), st.integers(1, 40)),
+                        max_size=2))
+def test_batched_ellipsoid_decisions_match_fraction_reference(a, balls):
+    trace = decide_packing(Ellipsoid(1, a), balls)
+    assert _trace_tuple(trace) == reference_decide(Ellipsoid(1, a), balls)
 
 
 def test_max_equal_ball_million_within_budget():
