@@ -12,9 +12,8 @@ from .planner import (Curve, DiscAllocation, Polarization, basin_of_cross,
                       partition_balls, perturb_allocation, plan_discs,
                       validate_polarization)
 from .rationals import parse_rational, format_rational, rational_below
-from .toric import (Ball, Ellipsoid, MomentPolytope, ProjectivePlane,
-                    PseudoBall, moment_polytope, parse_domain, polytope_area,
-                    validate_pseudo_ball, volume)
+from .toric import (Ball, Ellipsoid, ProjectivePlane, PseudoBall,
+                    parse_domain, validate_pseudo_ball, volume)
 from .weights import ellipsoid_weights, weight_count, weight_sequence
 
 __version__ = "0.1.0"

@@ -31,6 +31,7 @@ DECIMAL_DIGITS = 12
 MAX_BALLS = 10 ** 6             # balls of a ball list, or weights of `weights`
 MAX_ROWS = 10 ** 5              # rows an atlas grid may have
 MIN_PRECISION_BITS = 4
+MAX_PRECISION_BITS = 2 ** 14    # a bound at it takes well under a second
 PRECISION_ENV_VAR = "SYMPACK_PRECISION"     # read by the CLI alone
 
 
@@ -50,6 +51,9 @@ def check_precision(bits: int, source: str) -> int:
     if bits < MIN_PRECISION_BITS:
         raise RationalParseError(
             f"{source} too small: {bits} (need >= {MIN_PRECISION_BITS})")
+    if bits > MAX_PRECISION_BITS:
+        raise RationalParseError(
+            f"{source} too large: {bits} (need <= {MAX_PRECISION_BITS})")
     return bits
 
 

@@ -90,7 +90,7 @@ class ReductionTrace:
         return self._steps
 
     @property
-    def terminal(self) -> PackingVector:
+    def terminal(self) -> PackingVector | None:
         return self.steps[-1].after if self.steps else None
 
     def __eq__(self, other):

@@ -29,10 +29,11 @@ def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' or an integer string into an exact Fraction.
 
     Each side of the '/' is ASCII digits with an optional sign; blanks are
-    allowed only around the whole literal.  Decimal points and exponents are rejected: callers holding an
-    irrational or floating-point quantity must approximate it by a rational
-    explicitly (see :func:`rational_below`) so the approximation direction
-    is a conscious choice.
+    allowed only around the whole literal.  Decimal points and exponents
+    are rejected: callers holding an irrational or floating-point quantity
+    must approximate it by a rational explicitly (see
+    :func:`rational_below`) so the approximation direction is a conscious
+    choice.
     """
     s = text.strip()
     if not s:

@@ -1,13 +1,9 @@
 """Toric domains of the first quadrant: balls, ellipsoids, pseudo-balls,
-scaled projective planes, and their moment polytopes and exact volumes.
+scaled projective planes, and their exact volumes.
 
-A domain here is identified with its moment-polytope image under
-(pi|z|^2, pi|w|^2); symplectic volume equals Euclidean area of that image,
-computed exactly by the shoelace formula.
-
-A ball, an ellipsoid and a pseudo-ball are also projective planes with
-balls cut out, on integers: the ``complement`` of each (see
-``certifier``) is built on its first lookup and kept with the object.
+Each domain is a projective plane with balls cut out, on integers: the
+``complement`` of each (see ``certifier``) is built on its first lookup
+and kept with the object, and a domain's volume is its complement's.
 """
 
 from __future__ import annotations
@@ -39,9 +35,6 @@ class PseudoBallViolation(DomainError):
         super().__init__("invalid pseudo-ball: " + "; ".join(violations))
 
 
-Point = tuple[Fraction, Fraction]
-
-
 class Complement(NamedTuple):
     """P^2(mu/d) minus ``count`` balls of capacity w/d for each run
     (count, w), with squares = sum count w^2 and p = sum count; its volume
@@ -58,6 +51,10 @@ class Complement(NamedTuple):
         """The share sum count w^2 / mu^2 of P^2(mu/d) that is cut out."""
         return Fraction(self.squares, self.mu * self.mu)
 
+    @property
+    def volume(self) -> Fraction:
+        return Fraction(self.mu * self.mu - self.squares, 2 * self.d * self.d)
+
 
 def complement_of(d: int, mu: int, runs) -> Complement:
     """The complement of the given runs in P^2(mu/d), its sums taken once."""
@@ -69,51 +66,14 @@ def complement_of(d: int, mu: int, runs) -> Complement:
     return Complement(d, mu, runs, squares, p)
 
 
+def _plane(scale: Fraction) -> Complement:
+    """P^2(scale) with nothing cut out."""
+    return complement_of(scale.denominator, scale.numerator, ())
+
+
 def _weight_runs(x: int, y: int):
     """(count, w) runs of the weights of E(x, y); none when y = 0."""
     return _euclid(max(x, y), min(x, y))
-
-
-@dataclass(frozen=True)
-class MomentPolytope:
-    """Ordered vertex list in the closed first quadrant, counter-clockwise."""
-
-    vertices: tuple[Point, ...]
-
-    def __post_init__(self):
-        for (x, y) in self.vertices:
-            if x < 0 or y < 0:
-                raise DomainError(f"vertex ({x}, {y}) outside first quadrant")
-
-    def contains(self, x, y) -> bool:
-        """Point-in-convex-polygon test (boundary counts as inside)."""
-        x, y = Fraction(x), Fraction(y)
-        n = len(self.vertices)
-        if n < 3:
-            return False
-        for i in range(n):
-            ax, ay = self.vertices[i]
-            bx, by = self.vertices[(i + 1) % n]
-            if (bx - ax) * (y - ay) - (by - ay) * (x - ax) < 0:
-                return False
-        return True
-
-
-def polytope_area(p: MomentPolytope) -> Fraction:
-    """Signed shoelace area; positive for counter-clockwise vertex order.
-
-    Degenerate input (fewer than 3 non-collinear vertices) gives 0.
-    """
-    verts = p.vertices
-    n = len(verts)
-    if n < 3:
-        return Fraction(0)
-    twice = Fraction(0)
-    for i in range(n):
-        x0, y0 = verts[i]
-        x1, y1 = verts[(i + 1) % n]
-        twice += x0 * y1 - x1 * y0
-    return twice / 2
 
 
 def _require_positive(**params: Fraction):
@@ -154,8 +114,7 @@ class Ball:
     @cached_property
     def complement(self) -> Complement:
         """B(c) is P^2(c) with nothing cut out."""
-        c = self.capacity
-        return complement_of(c.denominator, c.numerator, ())
+        return _plane(self.capacity)
 
     def __str__(self):
         return f"B({format_rational(self.capacity)})"
@@ -218,6 +177,10 @@ class ProjectivePlane:
         exact_fields(self, "scale")
         _require_positive(scale=self.scale)
 
+    @cached_property
+    def complement(self) -> Complement:
+        return _plane(self.scale)
+
     def __str__(self):
         return f"P2({format_rational(self.scale)})"
 
@@ -225,33 +188,9 @@ class ProjectivePlane:
 ToricDomain = Ball | Ellipsoid | PseudoBall | ProjectivePlane
 
 
-def moment_polytope(d: ToricDomain) -> MomentPolytope:
-    zero = Fraction(0)
-    if isinstance(d, Ball):
-        c = d.capacity
-        return MomentPolytope(((zero, zero), (c, zero), (zero, c)))
-    if isinstance(d, Ellipsoid):
-        return MomentPolytope(((zero, zero), (d.a, zero), (zero, d.b)))
-    if isinstance(d, ProjectivePlane):
-        mu = d.scale
-        return MomentPolytope(((zero, zero), (mu, zero), (zero, mu)))
-    if isinstance(d, PseudoBall):
-        # Conv<(0,0),(b,0),(alpha,beta),(0,a)>, counter-clockwise
-        return MomentPolytope(((zero, zero), (d.b, zero),
-                               (d.alpha, d.beta), (zero, d.a)))
-    raise DomainError(f"not a toric domain: {d!r}")
-
-
 def volume(d: ToricDomain) -> Fraction:
-    if isinstance(d, Ball):
-        return d.capacity * d.capacity / 2
-    if isinstance(d, Ellipsoid):
-        return d.a * d.b / 2
-    if isinstance(d, ProjectivePlane):
-        return d.scale * d.scale / 2
-    if isinstance(d, PseudoBall):
-        return (d.a * d.alpha + d.b * d.beta) / 2
-    raise DomainError(f"not a toric domain: {d!r}")
+    """The exact volume of ``d``: that of its complement."""
+    return d.complement.volume
 
 
 _DOMAIN_RE = re.compile(r"^\s*(B|E|T|P2)\s*\(([^()]*)\)\s*$")

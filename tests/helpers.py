@@ -128,11 +128,47 @@ def reference_lambda_bound(t, mode, precision=None) -> Fraction:
     return bound / 2 if mode == certifier.CONSERVATIVE else bound
 
 
+# --- moment polygons, as the oracle for volumes and for basins -----------
+
+def moment_vertices(d) -> tuple:
+    """Counter-clockwise vertices of the image of ``d`` under
+    (pi|z|^2, pi|w|^2)."""
+    zero = Fraction(0)
+    if isinstance(d, toric.PseudoBall):
+        # Conv<(0,0),(b,0),(alpha,beta),(0,a)>
+        return ((zero, zero), (d.b, zero), (d.alpha, d.beta), (zero, d.a))
+    if isinstance(d, toric.Ellipsoid):
+        a, b = d.a, d.b
+    else:
+        a = b = d.capacity if isinstance(d, toric.Ball) else d.scale
+    return ((zero, zero), (a, zero), (zero, b))
+
+
+def polygon_area(vertices) -> Fraction:
+    """Signed shoelace area, positive for counter-clockwise order; 0 for
+    fewer than three vertices."""
+    n = len(vertices)
+    twice = Fraction(0)
+    for i in range(n if n >= 3 else 0):
+        (x0, y0), (x1, y1) = vertices[i], vertices[(i + 1) % n]
+        twice += x0 * y1 - x1 * y0
+    return twice / 2
+
+
+def polygon_contains(vertices, x, y) -> bool:
+    """Point in a counter-clockwise convex polygon, boundary included."""
+    n = len(vertices)
+    return n >= 3 and all(
+        (bx - ax) * (y - ay) - (by - ay) * (x - ax) >= 0
+        for (ax, ay), (bx, by) in zip(vertices, vertices[1:] + vertices[:1]))
+
+
 def reference_volume(t) -> Fraction:
-    """vol(t) from the blown-up sizes or ``toric.volume``, not the complement."""
+    """vol(t) from the blown-up sizes or the moment polygon, not the
+    complement."""
     if isinstance(t, BlowupForm):
         return (1 - sum((l * l for l in t.lambdas), Fraction(0))) / 2
-    return toric.volume(t)
+    return polygon_area(moment_vertices(t))
 
 
 def reference_certify_packing(t, balls, mode, precision=None):
@@ -270,17 +306,18 @@ def _reference_require_allocation(pol, alloc):
 
 
 def reference_build_pieces(pol, alloc) -> list:
-    """``planner.build_pieces``: each volume is ``toric.volume`` of its domain."""
+    """``planner.build_pieces``: each volume is the moment polygon's area."""
     _reference_require_allocation(pol, alloc)
     l = len(pol)
     pieces = []
     for i, curve in enumerate(pol.curves):
         e = toric.Ellipsoid(alloc.main[i], curve.residue)
-        pieces.append(planner.Piece("ellipsoid", e, toric.volume(e), f"E{i + 1}"))
+        pieces.append(planner.Piece("ellipsoid", e, reference_volume(e),
+                                    f"E{i + 1}"))
         j = (i + 1) % l
         t = toric.PseudoBall(alloc.prev[j], alloc.next[i],
                              pol.curves[j].residue, curve.residue)
-        pieces.append(planner.Piece("cross", t, toric.volume(t),
+        pieces.append(planner.Piece("cross", t, reference_volume(t),
                                     f"T{i + 1},{j + 1}"))
     return pieces
 

@@ -17,8 +17,8 @@ from sympack.lattice import BlowupForm, d_omega_bound, d_omega_search
 from sympack.rationals import rational_below
 from sympack.weights import continued_fraction, weight_count, weight_sequence
 
-from helpers import (classify_by_flow, point_polygon_distance,
-                     rand_fraction, rand_pseudo_ball)
+from helpers import (classify_by_flow, moment_vertices, point_polygon_distance,
+                     polygon_contains, rand_fraction, rand_pseudo_ball)
 
 F = Fraction
 
@@ -193,17 +193,18 @@ def test_criterion_6_decomposition_exactness():
               "worked cascade reproduced exactly", started, 60.0)
 
 
-def _check_basin(fixed, polytope, disc_r1, disc_r2, rng):
-    xmax = max(float(v[0]) for v in polytope.vertices)
-    ymax = max(float(v[1]) for v in polytope.vertices)
+def _check_basin(fixed, domain, disc_r1, disc_r2, rng):
+    vertices = moment_vertices(domain)
+    xmax = max(float(v[0]) for v in vertices)
+    ymax = max(float(v[1]) for v in vertices)
     den = 997
     checked = 0
     while checked < 1000:
         x = F(rng.randint(0, int(1.2 * xmax * den)), den)
         y = F(rng.randint(0, int(1.2 * ymax * den)), den)
-        if point_polygon_distance((x, y), polytope.vertices) <= 1e-6:
+        if point_polygon_distance((x, y), vertices) <= 1e-6:
             continue
-        inside = polytope.contains(x, y)
+        inside = polygon_contains(vertices, x, y)
         flowed = classify_by_flow(fixed, (x, y), disc_r1, disc_r2)
         assert inside == flowed, (fixed, x, y, inside, flowed)
         checked += 1
@@ -214,15 +215,15 @@ def test_criterion_7_flow_polytope_consistency():
     rng = random.Random(7007)
     # disc basin E(a, alpha): fixed point (0, alpha), disc of extent a
     disc = planner.basin_of_disc(F(7, 10), F(1, 10))
-    _check_basin((F(0), F(1, 10)), toric.moment_polytope(disc),
+    _check_basin((F(0), F(1, 10)), disc,
                  disc_r1=float(disc.a), disc_r2=None, rng=rng)
     # symmetric cross basin
     cross = planner.basin_of_cross(F(3, 20), F(1, 10), F(3, 20), F(1, 10))
-    _check_basin((F(1, 10), F(1, 10)), toric.moment_polytope(cross),
+    _check_basin((F(1, 10), F(1, 10)), cross,
                  disc_r1=float(cross.b), disc_r2=float(cross.a), rng=rng)
     # asymmetric cross basin
     cross = planner.basin_of_cross(F(3, 20), F(1, 10), F(7, 40), F(3, 20))
-    _check_basin((F(3, 20), F(1, 10)), toric.moment_polytope(cross),
+    _check_basin((F(3, 20), F(1, 10)), cross,
                  disc_r1=float(cross.b), disc_r2=float(cross.a), rng=rng)
     report(7, "flow classification matches polytope membership on 10^3 "
               "points per basin outside a 1e-6 band", started, 60.0)

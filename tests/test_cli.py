@@ -394,6 +394,14 @@ def test_decompose_padding_limit_exit_two(capsys, tmp_path):
 def test_invalid_precision_exit_two(capsys, monkeypatch):
     assert "--precision" in _invalid(capsys, ["weights", "5/2", "--precision", "0"])
     _invalid(capsys, ["dstar", "--lambdas", "1/2", "--precision", "-3"])
+    # above the limit both sources are refused before any bound is computed
+    too_large = str(cli.MAX_PRECISION_BITS + 1)
+    err = _invalid(capsys, ["certify", "--target", "E(1,2)", "--balls", "1/10",
+                            "--precision", too_large])
+    assert "--precision too large" in err and str(cli.MAX_PRECISION_BITS) in err
+    monkeypatch.setenv("SYMPACK_PRECISION", too_large)
+    err = _invalid(capsys, ["dstar", "--lambdas", "1/2"])
+    assert "SYMPACK_PRECISION too large" in err and str(cli.MAX_PRECISION_BITS) in err
     monkeypatch.setenv("SYMPACK_PRECISION", "abc")
     assert "SYMPACK_PRECISION" in _invalid(capsys, ["weights", "5/2"])
 

@@ -6,32 +6,32 @@ import pytest
 from sympack import planner, toric
 from sympack.lattice import BlowupForm
 from sympack.toric import (Ball, DomainError, Ellipsoid, InvalidParameterError,
-                           MomentPolytope, ProjectivePlane, PseudoBall,
-                           PseudoBallViolation, moment_polytope, parse_domain,
-                           polytope_area, validate_pseudo_ball, volume)
+                           ProjectivePlane, PseudoBall, PseudoBallViolation,
+                           parse_domain, validate_pseudo_ball, volume)
 
-from helpers import rand_fraction, rand_pseudo_ball, reference_volume
+from helpers import (moment_vertices, polygon_area, polygon_contains,
+                     rand_fraction, rand_pseudo_ball, reference_volume)
 
 F = Fraction
 
 
 def poly(*pts):
-    return MomentPolytope(tuple((F(x), F(y)) for x, y in pts))
+    return tuple((F(x), F(y)) for x, y in pts)
 
 
 def test_area_unit_simplex():
-    assert polytope_area(poly((0, 0), (1, 0), (0, 1))) == F(1, 2)
+    assert polygon_area(poly((0, 0), (1, 0), (0, 1))) == F(1, 2)
 
 
 def test_area_pseudo_ball_quadrilateral():
     q = poly((0, 0), (F(3, 2), 0), (1, 1), (0, F(3, 2)))
-    assert polytope_area(q) == F(3, 2)
+    assert polygon_area(q) == F(3, 2)
 
 
 def test_area_degenerate():
-    assert polytope_area(poly((0, 0), (1, 0), (2, 0))) == 0
-    assert polytope_area(poly((0, 0), (1, 0))) == 0
-    assert polytope_area(poly((0, 0))) == 0
+    assert polygon_area(poly((0, 0), (1, 0), (2, 0))) == 0
+    assert polygon_area(poly((0, 0), (1, 0))) == 0
+    assert polygon_area(poly((0, 0))) == 0
 
 
 def test_area_rotation_and_orientation():
@@ -43,18 +43,13 @@ def test_area_rotation_and_orientation():
         angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(n))
         pts = [(F(int(50 + 40 * math.cos(t))), F(int(50 + 40 * math.sin(t))))
                for t in angles]
-        base = polytope_area(MomentPolytope(tuple(pts)))
+        base = polygon_area(tuple(pts))
         for shift in range(1, n):
             rotated = tuple(pts[shift:] + pts[:shift])
-            assert polytope_area(MomentPolytope(rotated)) == base
-        reversed_ = MomentPolytope(tuple(reversed(pts)))
-        assert polytope_area(reversed_) == -base
-        assert abs(polytope_area(reversed_)) == abs(base)
-
-
-def test_vertex_outside_quadrant_rejected():
-    with pytest.raises(DomainError):
-        MomentPolytope(((F(-1), F(0)), (F(1), F(0)), (F(0), F(1))))
+            assert polygon_area(rotated) == base
+        reversed_ = tuple(reversed(pts))
+        assert polygon_area(reversed_) == -base
+        assert abs(polygon_area(reversed_)) == abs(base)
 
 
 def test_volume_examples():
@@ -64,13 +59,30 @@ def test_volume_examples():
     assert volume(Ball(F(1, 2))) == F(1, 8)
 
 
+def _rand_target(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rand_pseudo_ball(rng)
+    if kind == 1:
+        return Ellipsoid(rand_fraction(rng, F(1, 10), F(5)),
+                         rand_fraction(rng, F(1, 10), F(5)))
+    if kind == 2:
+        return Ball(rand_fraction(rng, F(1, 10), F(5)))
+    if kind == 3:
+        return ProjectivePlane(rand_fraction(rng, F(1, 10), F(5)))
+    return BlowupForm(tuple(rand_fraction(rng, F(0), F(1, 2))
+                            for _ in range(rng.randint(0, 3))))
+
+
 def test_volume_is_polytope_area():
     rng = random.Random(11)
-    for _ in range(100):
-        t = rand_pseudo_ball(rng)
-        assert volume(t) == polytope_area(moment_polytope(t))
+    for _ in range(500):
+        t = _rand_target(rng)
+        assert t.complement.volume == reference_volume(t)
+        if not isinstance(t, BlowupForm):
+            assert volume(t) == polygon_area(moment_vertices(t))
     e = Ellipsoid(F(5, 3), F(7, 2))
-    assert volume(e) == polytope_area(moment_polytope(e))
+    assert volume(e) == polygon_area(moment_vertices(e))
 
 
 def test_volume_symmetry():
@@ -116,19 +128,6 @@ def test_complement_asymmetric_example():
     assert volume(t) == F(37, 40)
 
 
-def _rand_target(rng):
-    kind = rng.randrange(4)
-    if kind == 0:
-        return rand_pseudo_ball(rng)
-    if kind == 1:
-        return Ellipsoid(rand_fraction(rng, F(1, 10), F(5)),
-                         rand_fraction(rng, F(1, 10), F(5)))
-    if kind == 2:
-        return Ball(rand_fraction(rng, F(1, 10), F(5)))
-    return BlowupForm(tuple(rand_fraction(rng, F(0), F(1, 2))
-                            for _ in range(rng.randint(0, 3))))
-
-
 def test_complement_volume_identity_randomized():
     rng = random.Random(3)
     for _ in range(1000):
@@ -140,16 +139,17 @@ def test_complement_volume_identity_randomized():
 
 
 def test_moment_polytope_shapes():
-    mp = moment_polytope(PseudoBall(F(3, 2), F(3, 2), 1, 1))
-    assert mp.vertices == ((0, 0), (F(3, 2), 0), (1, 1), (0, F(3, 2)))
-    assert moment_polytope(Ball(2)).vertices == ((0, 0), (2, 0), (0, 2))
+    mp = moment_vertices(PseudoBall(F(3, 2), F(3, 2), 1, 1))
+    assert mp == ((0, 0), (F(3, 2), 0), (1, 1), (0, F(3, 2)))
+    assert moment_vertices(Ball(2)) == ((0, 0), (2, 0), (0, 2))
+    assert moment_vertices(ProjectivePlane(2)) == ((0, 0), (2, 0), (0, 2))
 
 
 def test_contains():
-    mp = moment_polytope(Ellipsoid(2, 1))
-    assert mp.contains(F(1, 2), F(1, 2))
-    assert mp.contains(2, 0)                  # boundary counts as inside
-    assert not mp.contains(2, 1)
+    mp = moment_vertices(Ellipsoid(2, 1))
+    assert polygon_contains(mp, F(1, 2), F(1, 2))
+    assert polygon_contains(mp, 2, 0)         # boundary counts as inside
+    assert not polygon_contains(mp, 2, 1)
 
 
 def test_parse_domain():
