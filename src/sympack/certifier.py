@@ -16,13 +16,14 @@ the target's first lookup and kept with the object.  So a target object,
 such as a plan's piece, pays for it once however many thresholds,
 certificates and decisions read it; a freshly built equal target builds
 its own.  Thresholds, certificates and decisions all come from that one
-map: the threshold (``lambda_bound``) is the blow-up bound of the
-complement, a certified lower bound for the capacity below which every
-volume-admissible ball collection embeds; a certificate
+map: the threshold (``lambda_bound``) is the complement's blow-up bound
+(``Complement.blowup_terms``), a certified lower bound for the capacity
+below which every volume-admissible ball collection embeds; a certificate
 (``certify_packing``) checks the balls against that threshold and against
-the complement's volume (mu^2 - sum count w^2) / (2 d^2); and the exact
-decision (``decide_packing``) is the Cremona reduction of
-(mu; complement + balls).
+the volume the complement leaves once they are taken out
+(``Complement.room``); and the exact decision (``decide_packing``) is the
+Cremona reduction of (mu; complement + balls).  Neither formula is
+written out in this module.
 
 ``decide_packing`` is the one exact decision for a target; a yes/no caller
 reads ``.accepted``, e.g. balls pack P^2(mu) iff
@@ -41,7 +42,7 @@ from fractions import Fraction
 
 from . import toric
 from .cremona import ReductionTrace, _reduce
-from .lattice import BlowupForm, blowup_terms
+from .lattice import BlowupForm
 from .rationals import runs, to_grid
 
 CONSERVATIVE = "conservative"
@@ -73,21 +74,13 @@ def lambda_bound(t: Target, mode: str = CONSERVATIVE,
                  precision: int | None = None) -> Fraction:
     """Certified lower bound for the stability threshold of the target.
 
-    The blow-up bound of the complement, scaled by mu/d: optimistic mode
+    The complement's blow-up bound, scaled by mu/d: optimistic mode
     reports it in full, conservative mode halves it.  Scales linearly with
     the target.
     """
     _check_mode(mode)
-    return _threshold(t.complement, mode, precision)
-
-
-def _threshold(cut: toric.Complement, mode: str,
-               precision: int | None) -> Fraction:
-    """The blow-up bound of the complement, scaled by mu/d and halved in
-    conservative mode."""
-    num, den = blowup_terms(cut.squares, cut.mu * cut.mu, cut.p, precision)
-    return Fraction(cut.mu * num,
-                    cut.d * den * (2 if mode == CONSERVATIVE else 1))
+    num, den = t.complement.blowup_terms(precision)
+    return Fraction(num, den * 2 if mode == CONSERVATIVE else den)
 
 
 @dataclass(frozen=True)
@@ -115,18 +108,15 @@ def certify_packing(t: Target, balls, mode: str = CONSERVATIVE,
                     precision: int | None = None) -> Certificate:
     """Certify that the given open balls pack the target.
 
-    CERTIFIED iff every capacity is strictly below the threshold and the
-    volume obstruction (non-strict) holds; every failed check is listed.
-    With the balls x/L on the grid L, the slack vol(t) - sum c^2/2 is
-    ((mu^2 - sum count w^2) L^2 - d^2 sum x^2) / (2 d^2 L^2).
+    CERTIFIED iff every capacity is strictly below the threshold
+    (``lambda_bound``) and the volume obstruction (non-strict) holds; every
+    failed check is listed.  The slack vol(t) - sum c^2/2 is the
+    complement's ``room`` for the balls x/L on their grid L.
     """
-    _check_mode(mode)
+    threshold = lambda_bound(t, mode, precision)
     ball_runs = runs(balls)
     if any(c <= 0 for c, _ in ball_runs):
         raise ValueError("ball capacities must be > 0")
-    cut = t.complement
-    d, mu, squares = cut.d, cut.mu, cut.squares
-    threshold = _threshold(cut, mode, precision)
     scale, [grid] = to_grid([c for c, _ in ball_runs])
     checks: list[BallCheck] = []
     reasons: list[str] = []
@@ -137,8 +127,7 @@ def certify_packing(t: Target, balls, mode: str = CONSERVATIVE,
         if not below:
             reasons += [f"capacity {c} >= threshold {threshold}"] * count
         ball_squares += count * x * x
-    slack = Fraction((mu * mu - squares) * scale * scale
-                     - d * d * ball_squares, 2 * d * d * scale * scale)
+    slack = t.complement.room(scale, ball_squares)
     if slack < 0:
         reasons.append(f"volume obstruction fails by {-slack}")
     verdict = "CERTIFIED" if not reasons else "NOT_CERTIFIED"

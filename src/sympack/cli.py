@@ -239,6 +239,14 @@ def _json(value, kind: type, what: str):
     return value
 
 
+def _field(obj: dict, key: str, what: str):
+    """``obj[key]``, else a JSONShapeError naming the missing field."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise JSONShapeError(f'{what} has no "{key}" field') from None
+
+
 def _json_rational(value, what: str) -> Fraction:
     return parse_rational(_json(value, str, what))
 
@@ -253,19 +261,23 @@ def _json_index(value, what: str) -> int:
 def _load_assignment(entry: dict) -> certifier.Assignment:
     entry = _json(entry, dict, "an assignment")
     kind = entry.get("kind")
+
+    def field(key):
+        return _field(entry, key, "an assignment")
+
     a, b = (_json_rational(x, "an ellipsoid size")
-            for x in _json(entry["ellipsoid"], list, '"ellipsoid"'))
+            for x in _json(field("ellipsoid"), list, '"ellipsoid"'))
     if kind in ("first_axis", "second_axis"):
         return certifier.AxisAssignment(
-            a, b, _json_index(entry["component"], '"component"'),
+            a, b, _json_index(field("component"), '"component"'),
             kind.removesuffix("_axis"))
     if kind == "cross":
         return certifier.CrossAssignment(
             a, b,
-            _json_index(entry["first_component"], '"first_component"'),
-            str(entry["first_branch"]),
-            _json_index(entry["second_component"], '"second_component"'),
-            str(entry["second_branch"]))
+            _json_index(field("first_component"), '"first_component"'),
+            str(field("first_branch")),
+            _json_index(field("second_component"), '"second_component"'),
+            str(field("second_branch")))
     if kind == "free":
         return certifier.FreeEllipsoid(a, b)
     raise certifier.InvalidAssignmentError(f"unknown assignment kind {kind!r}")
@@ -276,7 +288,8 @@ def cmd_directed_check(args):
         data = json.load(fh)
     data = _json(data, dict, "the instance")
     areas = [_json_rational(x, "a component area")
-             for x in _json(data["components"], list, '"components"')]
+             for x in _json(_field(data, "components", "the instance"), list,
+                            '"components"')]
     assignments = [_load_assignment(e)
                    for e in _json(data.get("assignments", []), list,
                                   '"assignments"')]
@@ -288,10 +301,12 @@ def cmd_directed_check(args):
 def load_polarization(data: dict) -> planner.Polarization:
     data = _json(data, dict, "the polarization")
     curves = []
-    for curve in _json(data["curves"], list, '"curves"'):
+    for curve in _json(_field(data, "curves", "the polarization"), list,
+                       '"curves"'):
         curve = _json(curve, dict, "a curve")
-        curves.append(planner.Curve(_json_rational(curve["area"], '"area"'),
-                                    _json_rational(curve["residue"], '"residue"')))
+        curves.append(planner.Curve(
+            _json_rational(_field(curve, "area", "a curve"), '"area"'),
+            _json_rational(_field(curve, "residue", "a curve"), '"residue"')))
     vol = (_json_rational(data["volume"], '"volume"') if "volume" in data
            else None)
     return planner.Polarization(tuple(curves), vol)
@@ -315,7 +330,8 @@ def cmd_decompose(args):
         with open(args.balls) as fh:
             data = json.load(fh)
         caps = [_json_rational(x, "a ball capacity")
-                for x in _json(data["balls"] if isinstance(data, dict) else data,
+                for x in _json(_field(data, "balls", "the balls file")
+                               if isinstance(data, dict) else data,
                                list, "the balls")]
         part = planner.partition_balls(caps, [p.volume for p in plan.pieces],
                                        plan.delta, pad=args.pad)
@@ -356,8 +372,8 @@ def cmd_atlas(args):
     a = amin
     while a <= amax:
         target = toric.Ellipsoid(1, a)
-        opt = certifier.lambda_bound(target, certifier.OPTIMISTIC, args.precision)
-        cons = opt / 2                 # the conservative mode's halving
+        cons, opt = (certifier.lambda_bound(target, mode, args.precision)
+                     for mode in (certifier.CONSERVATIVE, certifier.OPTIMISTIC))
         cut = target.complement        # cached by lambda_bound
         lines.append(f"{_fmt(a)},{decimal_lower(cons, DECIMAL_DIGITS)},"
                      f"{decimal_lower(opt, DECIMAL_DIGITS)},{cut.p},"
@@ -505,7 +521,14 @@ def run(argv=None) -> int:
                           else check_precision(args.precision, "--precision"))
         return _run_command(args)
     except (RationalParseError, toric.DomainError, ValueError, OSError,
-            KeyError, json.JSONDecodeError, OverflowError) as exc:
+            json.JSONDecodeError, OverflowError) as exc:
+        # Python's refusal to write an int as text (reading one has a ':')
+        if (type(exc) is ValueError
+                and "for integer string conversion;" in str(exc)):
+            exc = (f"an output number has more than "
+                   f"{sys.get_int_max_str_digits()} digits, the most sympack "
+                   f"prints; lower --precision (now {args.precision} bits) or "
+                   "shorten the input numbers")
         print(f"sympack: error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

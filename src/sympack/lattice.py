@@ -5,7 +5,10 @@ Two routes to the same quantity: a closed-form certified lower bound
 exhaustive lattice minimization of area/Chern ratios over homology classes
 k L - sum m_i E_i with bounded k.  The search value is an exact rational
 upper approximation of the infimum; the bound is rounded downward, so
-[bound, search] always brackets the true constant.
+[bound, search] always brackets the true constant.  The bound is not
+computed here: ``d_omega_bound`` reads ``toric.Complement.blowup_terms``
+of the form's complement, the same bound every certified threshold of
+``certifier.lambda_bound`` reads.
 
 The search works on Python ints with no float step.  With d the common
 denominator of the lambda_i and n_i = lambda_i * d, as the runs of the
@@ -74,11 +77,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import gcd, isqrt
+from math import isqrt
 from typing import NamedTuple
 
-from .rationals import (DEFAULT_PRECISION_BITS, exact_tuple, runs,
-                        sqrt_enclosure, to_grid)
+from .rationals import exact_tuple, runs, to_grid
 from .toric import Complement, complement_of
 
 
@@ -142,28 +144,9 @@ def class_invariants(b: HomologyClass, form: BlowupForm):
     return self_int, chern, area
 
 
-def blowup_terms(kappa_num: int, kappa_den: int, p: int,
-                 precision: int | None = None) -> tuple[int, int]:
-    """Numerator and denominator of the blow-up bound of kappa^2 = kappa_num/kappa_den.
-
-    kappa and sqrt(p) are replaced by their upper enclosures from
-    ``rationals.sqrt_enclosure``, K / (e 2^b) and P / 2^b with e the
-    reduced denominator of kappa^2, so the bound is
-    (e 2^b - K) / (e (3 2^b + P)), returned unreduced.  No precision means
-    ``DEFAULT_PRECISION_BITS``.
-    """
-    g = gcd(kappa_num, kappa_den)
-    kappa_num, kappa_den = kappa_num // g, kappa_den // g
-    bits = DEFAULT_PRECISION_BITS if precision is None else precision
-    k_up = sqrt_enclosure(kappa_num, kappa_den, bits)[1]
-    p_up = sqrt_enclosure(p, 1, bits)[1]
-    return (kappa_den << bits) - k_up, kappa_den * ((3 << bits) + p_up)
-
-
 def d_omega_bound(form: BlowupForm, precision: int | None = None) -> Fraction:
     """The blow-up bound of the form; 1/3 exactly for the empty form."""
-    cut = form.complement
-    return Fraction(*blowup_terms(cut.squares, cut.d * cut.d, cut.p, precision))
+    return Fraction(*form.complement.blowup_terms(precision))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,12 @@ scaled projective planes, and their exact volumes.
 
 Each domain is a projective plane with balls cut out, on integers: the
 ``complement`` of each (see ``certifier``) is built on its first lookup
-and kept with the object, and a domain's volume is its complement's.
+and kept with the object.  ``Complement`` is the one home of the two
+formulas every threshold and certificate reads: the blow-up bound
+(1 - kappa)/(3 + sqrt(p)) of the balls cut out (``blowup_terms``, which
+``certifier.lambda_bound`` and ``lattice.d_omega_bound`` read) and the
+volume left in the plane (``room``); a domain's volume is its
+complement's.
 """
 
 from __future__ import annotations
@@ -12,9 +17,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import NamedTuple
 
-from .rationals import (exact, exact_fields, format_rational, parse_rational,
+from .rationals import (DEFAULT_PRECISION_BITS, exact, exact_fields,
+                        format_rational, parse_rational, sqrt_enclosure,
                         to_grid)
 from .weights import _euclid
 
@@ -53,7 +60,34 @@ class Complement(NamedTuple):
 
     @property
     def volume(self) -> Fraction:
-        return Fraction(self.mu * self.mu - self.squares, 2 * self.d * self.d)
+        return self.room()
+
+    def room(self, scale: int = 1, ball_squares: int = 0) -> Fraction:
+        """The volume left once balls x/scale with sum x^2 = ball_squares are
+        taken out as well: ((mu^2 - squares) scale^2 - d^2 ball_squares)
+        / (2 d^2 scale^2), negative when they do not fit."""
+        d2, s2 = self.d * self.d, scale * scale
+        return Fraction((self.mu * self.mu - self.squares) * s2
+                        - d2 * ball_squares, 2 * d2 * s2)
+
+    def blowup_terms(self, precision: int | None = None) -> tuple[int, int]:
+        """Numerator and denominator, unreduced, of the blow-up bound
+        (1 - kappa)/(3 + sqrt(p)) of the balls cut out, scaled by mu/d.
+
+        kappa and sqrt(p) are replaced by their upper enclosures from
+        ``rationals.sqrt_enclosure``, K / (e 2^b) and P / 2^b with e the
+        denominator of kappa^2 in lowest terms, so the bound is
+        mu (e 2^b - K) / (d e (3 2^b + P)).  No precision means
+        ``DEFAULT_PRECISION_BITS``.
+        """
+        mu2 = self.mu * self.mu
+        g = gcd(self.squares, mu2)
+        num, den = self.squares // g, mu2 // g
+        bits = DEFAULT_PRECISION_BITS if precision is None else precision
+        k_up = sqrt_enclosure(num, den, bits)[1]
+        p_up = sqrt_enclosure(self.p, 1, bits)[1]
+        return (self.mu * ((den << bits) - k_up),
+                self.d * den * ((3 << bits) + p_up))
 
 
 def complement_of(d: int, mu: int, runs) -> Complement:

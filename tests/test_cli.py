@@ -498,6 +498,31 @@ def test_decompose_balls_of_wrong_shape_exit_two(capsys, tmp_path):
                           "--balls", str(path)])
 
 
+@pytest.mark.parametrize("command, content, field", [
+    ("directed-check", {"components": ["1", "1"], "assignments": [
+        {"kind": "cross", "ellipsoid": ["1", "1"], "first_component": 0,
+         "first_branch": "a", "second_component": 1}]}, "second_branch"),
+    ("decompose", {"volume": "3/20"}, "curves"),
+])
+def test_json_missing_field_is_named(capsys, tmp_path, command, content, field):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    flag = "--polarization" if command == "decompose" else "--file"
+    assert f'no "{field}" field' in _invalid(capsys, [command, flag, str(path)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--target", "Blowup(1/2,1/3)", "--balls", "1/10",
+     "--precision", "16384"],
+    ["certify", "--target", "E(1,2)", "--balls", "1/" + "7" * 4000],
+])
+def test_output_too_long_to_print_names_the_limit(capsys, argv):
+    err = _invalid(capsys, argv)
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+    assert "--precision" in err
+    assert "set_int_max_str_digits" not in err
+
+
 def test_cli_import_leaves_numpy_out():
     src = Path(sympack.__file__).resolve().parents[1]
     subprocess.run(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sympack import lattice
 from sympack.lattice import (ROW_LIMIT, AreaExcessError, BlowupForm,
                              HomologyClass, InfeasibleFormError,
-                             TableSizeError, blowup_terms, class_invariants,
+                             TableSizeError, class_invariants,
                              d_omega_bound, d_omega_search)
 
 from helpers import reference_blowup_bound
@@ -210,15 +210,6 @@ def test_search_rank_eight_within_budget():
 
 
 precisions = st.sampled_from((None, 4, 17, 64))
-
-
-@settings(max_examples=300)
-@given(st.fractions(0, 1).filter(lambda x: x < 1), st.integers(0, 200),
-       precisions)
-def test_blowup_bound_matches_reference(kappa_sq, p, precision):
-    assert F(*blowup_terms(kappa_sq.numerator, kappa_sq.denominator, p,
-                           precision)) == reference_blowup_bound(
-        kappa_sq, p, precision)
 
 
 @given(forms(8), precisions)

@@ -2,15 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympack import planner, toric
 from sympack.lattice import BlowupForm
-from sympack.toric import (Ball, DomainError, Ellipsoid, InvalidParameterError,
-                           ProjectivePlane, PseudoBall, PseudoBallViolation,
-                           parse_domain, validate_pseudo_ball, volume)
+from sympack.toric import (Ball, Complement, DomainError, Ellipsoid,
+                           InvalidParameterError, ProjectivePlane, PseudoBall,
+                           PseudoBallViolation, parse_domain,
+                           validate_pseudo_ball, volume)
 
 from helpers import (moment_vertices, polygon_area, polygon_contains,
-                     rand_fraction, rand_pseudo_ball, reference_volume)
+                     rand_fraction, rand_pseudo_ball, reference_blowup_bound,
+                     reference_volume)
 
 F = Fraction
 
@@ -136,6 +140,28 @@ def test_complement_volume_identity_randomized():
         assert all(count > 0 and w > 0 for count, w in runs)
         assert (F(mu * mu - sum(c * w * w for c, w in runs), 2 * d * d)
                 == reference_volume(t))
+
+
+def test_room_takes_the_balls_out():
+    rng = random.Random(5)
+    for _ in range(200):
+        cut = _rand_target(rng).complement
+        scale = rng.randint(1, 50)
+        xs = [rng.randint(1, 50) for _ in range(rng.randint(0, 4))]
+        assert cut.room(scale, sum(x * x for x in xs)) == cut.volume - sum(
+            (F(x, scale) ** 2 for x in xs), F(0)) / 2
+    assert cut.room() == cut.volume
+
+
+@settings(max_examples=300)
+@given(st.fractions(0, 1).filter(lambda x: x < 1), st.integers(0, 200),
+       st.sampled_from((None, 4, 17, 64)))
+def test_blowup_bound_matches_reference(kappa_sq, p, precision):
+    # P^2(e) minus balls with squares n e, so kappa^2 = n/e and mu/d = e
+    n, e = kappa_sq.numerator, kappa_sq.denominator
+    cut = Complement(1, e, (), n * e, p)
+    assert F(*cut.blowup_terms(precision)) == e * reference_blowup_bound(
+        kappa_sq, p, precision)
 
 
 def test_moment_polytope_shapes():
