@@ -16,11 +16,12 @@ import re
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, NamedTuple
 
 from . import __version__, certifier, cremona, lattice, planner, toric, weights
-from .rationals import (DEFAULT_PRECISION_BITS, INTEGER_LITERAL,
-                        RationalParseError, decimal_lower, format_rational,
+from .rationals import (DEFAULT_PRECISION_BITS, RationalParseError,
+                        decimal_lower, format_rational, parse_integer,
                         parse_rational, runs)
 
 EXIT_OK = 0
@@ -62,12 +63,8 @@ def default_precision() -> int:
     raw = os.environ.get(PRECISION_ENV_VAR)
     if raw is None:
         return DEFAULT_PRECISION_BITS
-    try:
-        bits = int(raw)
-    except ValueError:
-        raise RationalParseError(
-            f"{PRECISION_ENV_VAR} must be an integer, got {raw!r}")
-    return check_precision(bits, PRECISION_ENV_VAR)
+    return check_precision(parse_integer(raw, PRECISION_ENV_VAR),
+                           PRECISION_ENV_VAR)
 
 
 def _bound_json(value: Fraction, precision: int) -> dict:
@@ -94,12 +91,7 @@ def parse_ball_list(text: str) -> list[Fraction]:
         cap_text = part
         if "x" in part:
             cap_text, count_text = part.rsplit("x", 1)
-            count_text = count_text.strip()
-            if not INTEGER_LITERAL.fullmatch(count_text):
-                raise RationalParseError(
-                    f"malformed repetition in {part!r}: write xN with N in "
-                    "ASCII digits")
-            count = int(count_text)
+            count = parse_integer(count_text, "the repetition N of xN")
             if count < 0:
                 raise RationalParseError(f"negative repetition in {part!r}")
         cap = parse_rational(cap_text)
@@ -173,7 +165,7 @@ def cmd_decide(args):
     if mu <= 0:
         raise RationalParseError(f"--mu must be > 0, got {_fmt(mu)}")
     balls = parse_ball_list(args.balls)
-    vec = cremona.PackingVector(mu, tuple(b for b in balls if b > 0))
+    vec = cremona.PackingVector(mu, tuple(filter(None, balls)))
     return _decision(args, "mu", mu, balls, cremona.reduce_vector(vec))
 
 
@@ -252,10 +244,10 @@ def _json_rational(value, what: str) -> Fraction:
 
 
 def _json_index(value, what: str) -> int:
-    """An integer, or a string of one, as ``int`` reads it."""
+    """An integer, or a string of one, as ``parse_integer`` reads it."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise JSONShapeError(f"{what} must be an integer, got {json.dumps(value)}")
-    return int(value)
+    return parse_integer(value, what) if isinstance(value, str) else value
 
 
 def _load_assignment(entry: dict) -> certifier.Assignment:
@@ -395,6 +387,16 @@ def _arg(*flags, **options):
     return flags, options
 
 
+def _integer_type(flag: str):
+    """``parse_integer`` of ``flag`` as an argparse type."""
+    def read(text: str) -> int:
+        try:
+            return parse_integer(text, flag)
+        except RationalParseError as exc:   # argparse would echo the text
+            raise argparse.ArgumentTypeError(exc) from None
+    return read
+
+
 COMMANDS = {
     "weights": Command(
         cmd_weights, "weight expansion of a rational a >= 1",
@@ -406,7 +408,7 @@ COMMANDS = {
     "dstar": Command(
         cmd_dstar, "stability-constant bound and search",
         (_arg("--lambdas", default="", help="blow-up sizes, e.g. 1/2,1/2"),
-         _arg("--search-kmax", type=int, default=8)),
+         _arg("--search-kmax", type=_integer_type("--search-kmax"), default=8)),
         ("lambdas",)),
     "decide": Command(
         cmd_decide, "Cremona decision for balls in P2(mu)",
@@ -414,7 +416,7 @@ COMMANDS = {
         ("mu", "balls")),
     "max-equal-ball": Command(
         cmd_max_equal_ball, "largest capacity of N equal balls in P2(1)",
-        (_arg("--n", type=int, required=True),
+        (_arg("--n", type=_integer_type("--n"), required=True),
          _arg("--tol", default="1/1000000000")),
         ("n", "tol")),
     "certify": Command(
@@ -466,23 +468,28 @@ def _run_command(args) -> int:
                 "elapsed_s": elapsed, "precision_bits": args.precision,
                 "rounding": "down",
             }) + "\n")
-    elif args.json:
-        print(json.dumps({
-            "command": args.command,
-            "inputs": {name: getattr(args, name) for name in command.inputs},
-            "outputs": output,
-            "elapsed_s": elapsed,
-            "version": __version__,
-            "precision_bits": args.precision,
-        }, indent=2))
     else:
-        print(json.dumps(output, indent=2))
+        if args.json:
+            output = {
+                "command": args.command,
+                "inputs": {name: getattr(args, name) for name in command.inputs},
+                "outputs": output,
+                "elapsed_s": elapsed,
+                "version": __version__,
+                "precision_bits": args.precision,
+            }
+        # written in batches of chunks: with indent set json encodes in
+        # Python, and dumps would hold every chunk and then the whole text
+        chunks = json.JSONEncoder(indent=2).iterencode(output)
+        while batch := "".join(islice(chunks, 1 << 14)):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
     return code
 
 
 def _add_global_flags(parser, suppress: bool = False):
     d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--precision", type=int,
+    parser.add_argument("--precision", type=_integer_type("--precision"),
                         default=d,
                         help="bits for directed-rounded bounds "
                              "(default 128, env SYMPACK_PRECISION)")

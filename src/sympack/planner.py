@@ -216,8 +216,7 @@ class _Grid:
 
         E_i has volume main_i alpha_i / 2 and T_i has volume
         (next_i alpha_i + prev_{i+1} alpha_{i+1}) / 2, both taken on the
-        grid.  The domains raise the toric error of a non-positive
-        residue.
+        grid.
         """
         pol, alloc = self.pol, self.alloc
         alpha, den = self.alpha, 2 * self.d * self.d
@@ -243,8 +242,6 @@ class _Grid:
         """
         alpha = self.alpha
         l = len(alpha)
-        if 0 in alpha:
-            raise ZeroDivisionError("a zero residue leaves 1/alpha undefined")
         best_num = best_den = None
         for j, a_j in enumerate(alpha):
             n, p = self.next[j], self.prev[j]
@@ -262,6 +259,12 @@ class _Grid:
 
 
 def _valid_grid(pol: Polarization, alloc: DiscAllocation, extra=()) -> _Grid:
+    """The grid of an admissible allocation, else an AllocationError.
+
+    Every residue of an admissible allocation is > 0: a residue
+    alpha_i <= 0 leaves the prev interval ]alpha_j, alpha_j + alpha_i[ of
+    the next curve j empty.
+    """
     grid = _Grid(pol, alloc, extra)
     errors = grid.errors()
     if errors:
@@ -327,8 +330,6 @@ def perturb_allocation(pol: Polarization, alloc: DiscAllocation,
     """
     targets = [*map(exact, targets)]
     grid = _valid_grid(pol, alloc, targets)
-    if any(r <= 0 for r in grid.alpha):
-        grid.pieces()               # raises: a piece is no toric domain
     l = len(pol)
     if len(targets) != 2 * l:
         raise AllocationError(f"{2 * l} pieces but {len(targets)} targets")

@@ -4,25 +4,46 @@ Every geometric quantity in this package is a ``fractions.Fraction``.  The
 only irrational values that ever appear are square roots inside lower-bound
 formulas; those are replaced by rational one-sided approximations computed
 with integer square roots, so a returned bound is always a *certified*
-lower bound, never a float guess.  The exact kernels share the integer
-grid (``to_grid``) and the runs of equal balls (``runs``) written here.
+lower bound, never a float guess.  ``parse_integer`` is the one reader of
+an integer literal, and ``parse_rational`` reads each side of 'p/q' with its
+grammar.  The exact kernels share the integer grid (``to_grid``) and the
+runs of equal balls (``runs``) written here.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from itertools import groupby
 from math import isqrt, lcm
 
 DEFAULT_PRECISION_BITS = 128    # the bits of a bound when none are given
 
-# an integer literal as parse_rational and the ball-list "xN" count accept it
-INTEGER_LITERAL = re.compile(r"[+-]?[0-9]+")
+# 'p' or 'p/q', each side ASCII digits with an optional sign, blanks only around
+_LITERAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([+-]?[0-9]+))?\s*")
 
 
 class RationalParseError(ValueError):
     """Raised when input is not an exact rational 'p/q' or integer string."""
+
+
+def _read(digits: str, what: str) -> int:
+    """int() of matched digits, refusing more than Python's digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise RationalParseError(f"{what} has more than {sys.get_int_max_str_digits()}"
+                                 " digits, the most sympack reads") from None
+
+
+def parse_integer(text: str, what: str) -> int:
+    """Parse ASCII digits with an optional sign; ``what`` names the input."""
+    match = _LITERAL.fullmatch(text)
+    if match is None or match[2] is not None:
+        raise RationalParseError(
+            f"{what} must be ASCII digits with an optional sign, got {text!r}")
+    return _read(match[1], what)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -35,26 +56,18 @@ def parse_rational(text: str) -> Fraction:
     :func:`rational_below`) so the approximation direction is a conscious
     choice.
     """
-    s = text.strip()
-    if not s:
-        raise RationalParseError("empty rational literal")
-    if any(c in s for c in ".eE"):
-        raise RationalParseError(
-            f"{text!r} is not an exact rational; approximate it by 'p/q' first")
-    try:
-        if "/" in s:
-            num, den = s.split("/")
-            value = Fraction(int(num), int(den))
-        else:
-            value = Fraction(int(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise RationalParseError(f"malformed rational {text!r}: {exc}") from None
-    # int() also takes '1_000', inner blanks and non-ASCII digits
-    if not all(INTEGER_LITERAL.fullmatch(part) for part in s.split("/")):
-        raise RationalParseError(
-            f"malformed rational {text!r}: write each side of '/' as "
-            "ASCII digits with an optional sign")
-    return value
+    match = _LITERAL.fullmatch(text)
+    if match is None:
+        hint = ("approximate it by 'p/q' first" if any(c in text for c in ".eE")
+                else "write each side of '/' as ASCII digits with an optional sign")
+        raise RationalParseError(f"{text!r} is not an exact rational: {hint}")
+    num = _read(match[1], "a side of a rational")
+    if match[2] is None:
+        return Fraction(num)
+    den = _read(match[2], "a side of a rational")
+    if not den:
+        raise RationalParseError(f"{text!r} has a zero denominator")
+    return Fraction(num, den)
 
 
 def format_rational(x) -> str:

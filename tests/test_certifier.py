@@ -423,3 +423,8 @@ def test_directed_invalid_cross():
             [1], [AxisAssignment(F(1, 2), 1, 3, "first")])
     with pytest.raises(InvalidAssignmentError):
         AxisAssignment(F(1, 2), 1, 0, "diagonal")
+
+
+def test_directed_rejects_a_non_assignment():
+    with pytest.raises(InvalidAssignmentError, match="unknown assignment 7"):
+        check_directed_hypotheses([1], [7])

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sympack
-from sympack import cli, cremona, toric
+from sympack import certifier, cli, cremona, toric
 from sympack.cli import COMMANDS, MAX_BALLS, parse_ball_list, run
 from sympack.rationals import RationalParseError
 
@@ -467,6 +467,59 @@ def test_certify_ball_count_limit(capsys, monkeypatch):
     monkeypatch.undo()
     assert "more than 1000000 balls" in _invalid(
         capsys, ["certify", "--target", "E(1,2)", "--balls", "1/1000x3000000000"])
+
+
+def _instance(tmp_path, kind="first_axis", component="0"):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"components": ["1"], "assignments": [
+        {"kind": kind, "component": component, "ellipsoid": ["2", "1/2"]}]}))
+    return str(path)
+
+
+def test_directed_check_free_and_unknown_kinds(capsys, tmp_path):
+    # a free ellipsoid loads no component; an unknown kind is refused
+    code, out = capture(capsys, ["directed-check", "--file",
+                                 _instance(tmp_path, "free")])
+    assert code == 0 and json.loads(out) == {"ok": True, "slacks": ["1"]}
+    with pytest.raises(certifier.InvalidAssignmentError):
+        cli._load_assignment({"kind": "diagonal", "ellipsoid": ["2", "1/2"]})
+    err = _invalid(capsys, ["directed-check", "--file",
+                            _instance(tmp_path, "diagonal")])
+    assert "unknown assignment kind 'diagonal'" in err
+
+
+# every integer the CLI reads, with the value put in its place
+INTEGER_INPUTS = {
+    "xN": lambda v, tmp: ["certify", "--target", "E(1,2)", "--balls", f"1/10x{v}"],
+    "--precision": lambda v, tmp: ["weights", "5/2", "--precision", v],
+    "SYMPACK_PRECISION": lambda v, tmp: ["weights", "5/2"],
+    "--n": lambda v, tmp: ["max-equal-ball", "--n", v],
+    "--search-kmax": lambda v, tmp: ["dstar", "--lambdas", "1/2",
+                                     "--search-kmax", v],
+    "component": lambda v, tmp: ["directed-check", "--file",
+                                 _instance(tmp, component=v)],
+}
+
+
+@pytest.mark.parametrize("value", [
+    "1_000", "١٢٨", "１２", "1 2", pytest.param("7" * 5000, id="5000-digits")])
+@pytest.mark.parametrize("field", list(INTEGER_INPUTS))
+def test_every_integer_input_reads_ascii_digits_only(
+        capsys, monkeypatch, tmp_path, field, value):
+    if field == "SYMPACK_PRECISION":
+        monkeypatch.setenv(field, value)
+    try:
+        code = run(INTEGER_INPUTS[field](value, tmp_path))
+    except SystemExit as exc:           # argparse refuses a flag's value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    message = err.splitlines()[-1]
+    assert field in message
+    if len(value) == 5000:
+        limit = sys.get_int_max_str_digits()
+        assert f"more than {limit} digits" in message and len(message) < 200
+        assert "7" * 200 not in err
 
 
 @pytest.mark.parametrize("command, content", [

@@ -122,6 +122,35 @@ def test_plan_discs_needs_two_curves():
         plan_discs(Polarization((Curve(1, 1),)))
 
 
+@pytest.mark.parametrize("curves, message", [
+    ((Curve(0, F(1, 10)), Curve(1, F(1, 10))), "curve 0: area 0 not > 0"),
+    ((Curve(1, F(1, 10)), Curve(1, -F(1, 10))), "curve 1: residue -1/10 not > 0"),
+    # valid as a polarization, but the disc cycle needs a second curve
+    ((Curve(1, F(1, 10)),), "at least 2 curves"),
+])
+def test_build_plan_refuses_the_polarization(curves, message):
+    with pytest.raises(PolarizationError, match=message):
+        build_plan(Polarization(curves))
+
+
+def test_allocation_arrays_of_unequal_length():
+    with pytest.raises(AllocationError, match="equal length"):
+        DiscAllocation((1, 1), (F(1, 5),), (F(1, 5), F(1, 5)))
+
+
+@pytest.mark.parametrize("residue", [F(0), -F(1, 10)])
+@pytest.mark.parametrize("call", [
+    compute_delta,
+    lambda pol, alloc: perturb_allocation(pol, alloc, [F(1, 100)] * 6)])
+def test_non_positive_residue_is_no_admissible_allocation(call, residue):
+    # the next curve's prev disc has the empty interval ]1/10, 1/10 + residue[
+    pol = symmetric3()
+    alloc = plan_discs(pol)
+    curves = (Curve(1, residue),) + pol.curves[1:]
+    with pytest.raises(AllocationError, match="curve 1: prev disc"):
+        call(Polarization(curves), alloc)
+
+
 def test_plan_discs_area_too_small():
     pol = Polarization((Curve(F(1, 4), F(1, 10)), Curve(F(1, 4), F(1, 10)),
                         Curve(F(1, 4), F(1, 10))))
